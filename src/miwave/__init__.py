@@ -36,7 +36,6 @@ from .fitting import (  # noqa: F401
     OfdmTarget,
     fit,
     objective,
-    sinc_matrix,
     solve_ofdm_coeffs,
     support_halfwidth,
 )
@@ -47,7 +46,6 @@ from .baselines import (  # noqa: F401
     match_rms_bandwidth,
 )
 from .errors import (  # noqa: F401
-    ConvergenceError,
     InfeasibleError,
     UnboundedAllocationError,
 )

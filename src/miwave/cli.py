@@ -6,7 +6,9 @@ Subcommands:
   roc     Monte Carlo validation of the analytic ROC
   report  summarize a fit CSV into quartile statistics
 
-Exit codes: 0 success, 2 config error, 3 numerical-convergence failure.
+Exit codes: 0 success, 2 config error (including a scene whose design
+would put unbounded energy on a zero-channel bin), 3 infeasible design
+target.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConvergenceError, InfeasibleError
+from .errors import InfeasibleError
 from .experiment import (
     ExperimentConfig,
     load_config,
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
         elif args.command == "roc":
             path = run_roc(config, getattr(args, "energy", None))
             print(f"wrote {path}")
-    except (ConvergenceError, InfeasibleError) as exc:
+    except InfeasibleError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

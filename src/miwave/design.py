@@ -4,10 +4,12 @@ The optimal energy spectral density against known noise/channel PSDs is
 
     E_s(f) = max( (sqrt(P_n(f)/lambda) - P_n(f)) / P_h(f), 0 )
 
-with the water level lambda fixed by the transmit-energy budget. The
-allocated energy is strictly decreasing in lambda and reaches zero at
-lambda = max_f 1/P_n(f), so a bracketing bisection on log(lambda) always
-converges.
+with the water level lambda fixed by the transmit-energy budget. In
+mu = lambda^(-1/2) the allocated energy is piecewise linear and
+increasing, with a breakpoint at each sqrt(P_n(f)), so one sort and two
+cumulative sums give the exact water level (Palomar & Fonollosa,
+"Practical algorithms for a family of waterfilling solutions", IEEE TSP
+2005).
 """
 
 from __future__ import annotations
@@ -17,15 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, UnboundedAllocationError
+from .errors import UnboundedAllocationError
 from .spectral import Scenario, SpectralDensity, integrate
 
 __all__ = ["MiDesign", "esd_for_lambda", "solve_lambda", "design_mi"]
-
-#: relative tolerance on the achieved energy
-ENERGY_TOL = 1e-6
-
-_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -36,6 +33,14 @@ class MiDesign:
     lagrange_lambda: float
     achieved_energy: float
     active_set: np.ndarray = field(repr=False)
+
+
+def _channel_values(scenario: Scenario, zero_channel_floor: bool) -> np.ndarray:
+    """Channel PSD, with zero bins raised to 1e-12*max(P_h) under the floor."""
+    p_h = scenario.channel_psd.values
+    if zero_channel_floor:
+        p_h = np.where(p_h == 0, 1e-12 * p_h.max(), p_h)
+    return p_h
 
 
 def esd_for_lambda(
@@ -52,9 +57,9 @@ def esd_for_lambda(
     if lam <= 0:
         raise ValueError("lambda must be positive")
     p_n = scenario.noise_psd.values
-    p_h = scenario.channel_psd.values
     numer = np.sqrt(p_n / lam) - p_n
-    hot = (numer > 0) & (p_h == 0)
+    pos = numer > 0
+    hot = pos & (scenario.channel_psd.values == 0)
     if np.any(hot):
         if not zero_channel_floor:
             raise UnboundedAllocationError(
@@ -65,65 +70,45 @@ def esd_for_lambda(
             "substituting a 1e-12*max(P_h) floor on zero-channel bins",
             stacklevel=2,
         )
-        p_h = np.where(p_h == 0, 1e-12 * p_h.max(), p_h)
+    p_h = _channel_values(scenario, zero_channel_floor)
     values = np.zeros_like(p_n)
-    pos = numer > 0
     values[pos] = numer[pos] / p_h[pos]
     return SpectralDensity(scenario.grid, values)
 
 
-def _allocated(scenario: Scenario, lam: float, zero_channel_floor: bool) -> float:
-    return integrate(
-        esd_for_lambda(scenario, lam, zero_channel_floor=zero_channel_floor)
-    )
+def solve_lambda(scenario: Scenario, *, zero_channel_floor: bool = False) -> float:
+    """Exact water level matching the scenario's energy budget.
 
-
-def solve_lambda(
-    scenario: Scenario,
-    *,
-    tol: float = ENERGY_TOL,
-    max_iter: int = _MAX_ITER,
-    zero_channel_floor: bool = False,
-) -> float:
-    """Find the water level matching the scenario's energy budget.
-
-    Brackets lambda between max_f 1/P_n (zero allocation) and a lower
-    value found by repeated halving, then bisects on log(lambda) until
-    the allocated energy matches within ``tol`` relative.
+    With mu = lambda^(-1/2) and the bins sorted by s = sqrt(P_n), the
+    energy with the first j bins active is df*(mu*A_j - B_j), where A_j
+    and B_j are cumulative sums of s/P_h and P_n/P_h. Each j thus gives
+    mu_j = (E/df + B_j)/A_j, and the solution is the first mu_j that does
+    not pass the next breakpoint s. Without the floor the water level must
+    stay below sqrt(P_n) of every zero-channel bin; if the budget cannot
+    be met there, :class:`UnboundedAllocationError` is raised.
     """
-    energy = scenario.energy
-    lam_hi = float(np.max(1.0 / scenario.noise_psd.values))
-    lam_lo = lam_hi
-    for _ in range(max_iter):
-        lam_lo *= 0.5
-        if _allocated(scenario, lam_lo, zero_channel_floor) >= energy:
-            break
-    else:
-        raise ConvergenceError(
-            f"could not bracket lambda below {lam_lo:.3e} "
-            f"(allocation still < E={energy:.3e})"
+    p_n = scenario.noise_psd.values
+    p_h = _channel_values(scenario, zero_channel_floor)
+    s = np.sqrt(p_n)
+    ceiling = np.min(s[p_h == 0], initial=np.inf)
+    idx = np.flatnonzero(p_h > 0)
+    idx = idx[np.argsort(s[idx], kind="stable")]
+    a = np.cumsum(s[idx] / p_h[idx])
+    b = np.cumsum(p_n[idx] / p_h[idx])
+    mu = (scenario.energy / scenario.grid.spacing + b) / a
+    fits = np.flatnonzero(mu <= np.append(s[idx[1:]], np.inf))
+    if fits.size == 0 or mu[fits[0]] >= ceiling:
+        raise UnboundedAllocationError(
+            f"the budget E={scenario.energy:.6g} needs a water level at or above "
+            f"sqrt(P_n)={ceiling:.6g} of a bin where the channel PSD vanishes"
         )
-    for _ in range(max_iter):
-        lam_mid = np.sqrt(lam_lo * lam_hi)
-        alloc = _allocated(scenario, lam_mid, zero_channel_floor)
-        if abs(alloc - energy) <= tol * energy:
-            return float(lam_mid)
-        if alloc > energy:
-            lam_lo = lam_mid
-        else:
-            lam_hi = lam_mid
-    raise ConvergenceError(
-        f"lambda bisection did not reach |alloc-E| <= {tol:.1e}*E in "
-        f"{max_iter} iterations (bracket [{lam_lo:.6e}, {lam_hi:.6e}])"
-    )
+    return float(mu[fits[0]] ** -2)
 
 
-def design_mi(
-    scenario: Scenario, *, tol: float = ENERGY_TOL, zero_channel_floor: bool = False
-) -> MiDesign:
+def design_mi(scenario: Scenario, *, zero_channel_floor: bool = False) -> MiDesign:
     """Full matched-illumination design: solve the water level, evaluate
     the ESD, and report the active set."""
-    lam = solve_lambda(scenario, tol=tol, zero_channel_floor=zero_channel_floor)
+    lam = solve_lambda(scenario, zero_channel_floor=zero_channel_floor)
     esd = esd_for_lambda(scenario, lam, zero_channel_floor=zero_channel_floor)
     active = np.flatnonzero(esd.values > 0)
     return MiDesign(esd, lam, integrate(esd), active)

@@ -20,20 +20,12 @@ import numpy as np
 from .spectral import Scenario, SpectralDensity
 
 __all__ = [
-    "DetectionReport",
     "MonteCarloRoc",
     "detection_metric",
     "analytic_roc",
     "np_statistic",
     "monte_carlo_roc",
 ]
-
-
-@dataclass(frozen=True)
-class DetectionReport:
-    d_squared: float
-    roc: list  # (p_fa, p_d) pairs
-    esd_used: SpectralDensity
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,5 @@ class UnboundedAllocationError(ValueError):
     """A zero-channel bin would receive unbounded waveform energy."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative numerical routine failed to converge."""
-
-
 class InfeasibleError(ValueError):
     """A requested design target cannot be met within its constraints."""

@@ -2,8 +2,8 @@
 
 A config names the scene (parametric PSDs, band, duration, target
 variance), an energy sweep, and the fit/Monte-Carlo parameters. For each
-energy the pipeline water-fills the matched-illumination ESD, inverts
-the sinc system for the target coefficients, runs the multistart MTSFM
+energy the pipeline water-fills the matched-illumination ESD, samples
+its magnitude for the target coefficients, runs the multistart MTSFM
 fit, matches an LFM comparator in RMS bandwidth, and records detection
 metrics. All outputs are plain CSV/JSON with deterministic formatting so
 a rerun with the same config and seed is byte-identical.
@@ -194,15 +194,14 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
     ``esd_table.csv``, per-energy ``fit_E*.csv``, and ``summary.json``."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = make_grid(config.band_width, config.duration)
-    noise = build_parametric_psd(config.noise_kind, config.noise_params, grid)
-    clutter = build_parametric_psd(config.clutter_kind, config.clutter_params, grid)
+    scene = config.scenario(config.energy_list[0])
+    grid = scene.grid
 
     records = []
     mi_esds: dict = {}
     mtsfm_esds: dict = {}
     for energy in config.energy_list:
-        scenario = Scenario(noise, clutter, config.target_variance, energy)
+        scenario = scene.with_energy(energy)
         try:
             design = design_mi(scenario)
         except Exception as exc:
@@ -257,7 +256,10 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
             )
         )
 
-    emit_esd_table(out / "esd_table.csv", grid, noise, clutter, mi_esds, mtsfm_esds)
+    emit_esd_table(
+        out / "esd_table.csv", grid, scene.noise_psd, scene.channel_psd,
+        mi_esds, mtsfm_esds,
+    )
     summary = {
         "provenance": {
             "config_hash": config.content_hash(),

@@ -1,8 +1,9 @@
 """Structured phase retrieval: fit MTSFM modulation indices to a target ESD.
 
 Pipeline: sample the matched-illumination spectrum magnitude on the bin
-grid, invert the sinc carrier matrix for the generic multicarrier
-coefficients c_m, then minimize the quartic magnitude-matching objective
+grid, where the sinc carriers are orthonormal, so the generic multicarrier
+coefficients are c_m = sqrt(E_s(f_m)/T); then minimize the quartic
+magnitude-matching objective
 
     F(beta) = sum_m ( c_m^2 - E * |c_m^MTSFM(beta)|^2 )^2
 
@@ -21,14 +22,12 @@ from scipy.optimize import minimize
 
 from . import mtsfm
 from .detection import detection_metric
-from .errors import InfeasibleError
 from .mtsfm import MtsfmWaveform
 from .spectral import FrequencyGrid, Scenario, SpectralDensity
 
 __all__ = [
     "OfdmTarget",
     "FitResult",
-    "sinc_matrix",
     "solve_ofdm_coeffs",
     "support_halfwidth",
     "objective",
@@ -74,38 +73,20 @@ class FitResult:
     start_index: int
 
 
-def sinc_matrix(freqs, duration: float, orders) -> np.ndarray:
-    """Carrier matrix X[i, j] = sinc(T*f_i - m_j); square by contract.
-
-    When the sample frequencies are exactly the carrier frequencies
-    m_j/T the matrix is the identity (sinc orthonormality).
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    orders = np.asarray(orders, dtype=float)
-    if freqs.size != orders.size:
-        raise ValueError(
-            f"need as many frequency samples ({freqs.size}) as carrier "
-            f"orders ({orders.size}) for a square system"
-        )
-    return np.sinc(duration * freqs[:, None] - orders[None, :])
-
-
 def solve_ofdm_coeffs(
     mi_esd: SpectralDensity, grid: FrequencyGrid, energy: float
 ) -> OfdmTarget:
-    """Invert the sinc system for the target's multicarrier coefficients.
+    """The target's multicarrier coefficients c_m = sqrt(E_s(f_m)/T).
 
     The design spectrum's phase carries no information, so the magnitude
-    sqrt(E_s(f)) is used directly. On the bin grid the sinc matrix is the
-    identity and c_m = sqrt(E_s(f_m)/T), which makes sum_m c_m^2 equal
-    the discretized ESD energy.
+    sqrt(E_s(f)) is used directly. The carriers sinc(T*f - m) are
+    orthonormal on the bin grid f_m = m/T, so each coefficient is the
+    scaled spectrum sample, which makes sum_m c_m^2 equal the discretized
+    ESD energy.
     """
     if mi_esd.grid != grid:
         raise ValueError("ESD must live on the supplied grid")
-    t = grid.duration
-    s_o = np.sqrt(mi_esd.values)
-    x = sinc_matrix(grid.bin_freqs, t, grid.bin_indices)
-    c = np.linalg.solve(x, s_o) / np.sqrt(t)
+    c = np.sqrt(mi_esd.values / grid.duration)
     return OfdmTarget(c, grid.half_order, float(energy))
 
 

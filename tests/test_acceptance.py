@@ -91,7 +91,7 @@ def test_criterion_1_water_filling_optimality(scenario_suite):
             if np.any(d2_rows(q, sc) > d2_star + 1e-9):
                 ok = False
         sc1 = base.with_energy(1.0)
-        d2_wf = detection_metric(design_mi(sc1, tol=1e-9).esd, sc1)
+        d2_wf = detection_metric(design_mi(sc1).esd, sc1)
         d2_pg = _projected_gradient_d2(sc1)
         gap = abs(d2_wf - d2_pg) / d2_wf
         worst_gap = max(worst_gap, gap)
@@ -105,7 +105,7 @@ def test_criterion_1_water_filling_optimality(scenario_suite):
 
 
 def test_criterion_2_flat_case_lambda(flat_unit_scenario):
-    lam = solve_lambda(flat_unit_scenario, tol=1e-9)
+    lam = solve_lambda(flat_unit_scenario)
     ok = abs(lam - 0.25) <= 1e-8
     _verdict("2 flat-case water level", ok, f"lambda={lam:.10f}")
     assert ok

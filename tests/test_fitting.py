@@ -4,6 +4,7 @@ import pytest
 from miwave import (
     MtsfmWaveform,
     OfdmTarget,
+    SpectralDensity,
     coefficients,
     design_mi,
     detection_metric,
@@ -11,40 +12,20 @@ from miwave import (
     integrate,
     make_grid,
     objective,
-    sinc_matrix,
     solve_ofdm_coeffs,
     support_halfwidth,
 )
 from miwave.fitting import objective_and_gradient
 
 
-class TestSincMatrix:
-    def test_identity_on_grid(self):
-        grid = make_grid(8.0, 1.0)
-        x = sinc_matrix(grid.bin_freqs, 1.0, grid.bin_indices)
-        np.testing.assert_allclose(x, np.eye(grid.num_bins), atol=1e-14)
-
-    def test_offset_grid_invertible(self):
-        grid = make_grid(8.0, 1.0)
-        f = grid.bin_freqs + 0.5 * grid.spacing
-        x = sinc_matrix(f, 1.0, grid.bin_indices)
-        resid = x @ np.linalg.inv(x) - np.eye(grid.num_bins)
-        assert np.max(np.abs(resid)) < 1e-10
-
-    def test_half_bin_offset_entries(self):
-        # offsets of half a bin hit sinc(1/2) = 2/pi on the first off-diagonal
-        x = sinc_matrix([-0.5, 0.5], 1.0, [-1, 0])
-        assert x[0, 0] == pytest.approx(2.0 / np.pi)
-        assert x[0, 1] == pytest.approx(2.0 / np.pi)
-        assert x[1, 1] == pytest.approx(2.0 / np.pi)
-        assert x[1, 0] == pytest.approx(-2.0 / (3.0 * np.pi))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            sinc_matrix([0.0, 1.0], 1.0, [0])
-
-
 class TestSolveOfdmCoeffs:
+    def test_power_times_duration_is_esd(self):
+        # c_m^2 * T == E_s(f_m): the sinc carriers are orthonormal on the grid
+        grid = make_grid(8.0, 2.5)
+        vals = np.random.default_rng(5).uniform(0.0, 3.0, grid.num_bins)
+        tgt = solve_ofdm_coeffs(SpectralDensity(grid, vals), grid, 1.0)
+        np.testing.assert_allclose(tgt.c**2 * grid.duration, vals, rtol=1e-15)
+
     def test_flat_esd_uniform_split(self):
         grid = make_grid(8.0, 1.0)
         from miwave import SpectralDensity
@@ -64,8 +45,8 @@ class TestSolveOfdmCoeffs:
         vals = np.zeros(grid.num_bins)
         vals[2] = 1.0
         tgt = solve_ofdm_coeffs(SpectralDensity(grid, vals), grid, 1.0)
-        # linear solve leaves ~1e-17 residue on the off bins
-        assert np.count_nonzero(np.abs(tgt.c) > 1e-12) == 1
+        assert np.count_nonzero(tgt.c) == 1
+        assert tgt.c[2] == 1.0
 
     def test_energy_bookkeeping(self, notch_scenario):
         design = design_mi(notch_scenario.with_energy(1.0))
