@@ -9,8 +9,10 @@ magnitude-matching objective
 
 subject to sum_k k*beta_k lying within (1 +/- delta) of the target's
 support half-width. The objective is nonconvex, so the solver is a
-multistart quasi-Newton with feasible-by-construction random starts and
-a ramped quadratic penalty on the support constraint.
+multistart quasi-Newton with feasible-by-construction random starts. A
+Householder reflection maps the unit normal k/|k| of the support slab to
+the first axis, so in the reflected coordinates the slab is a box bound
+on one coordinate, which L-BFGS-B enforces exactly.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ __all__ = [
 
 #: fraction of coefficient energy allowed outside the support half-width
 SUPPORT_TOL = 0.01
+#: local searches per start, each from a fresh feasible draw of its stream
+LOCAL_SEARCHES = 3
+#: L-BFGS-B iteration cap and tolerances: relative reduction of the
+#: objective (passed as ``tol``) and projected gradient
+MAX_ITER = 500
+F_TOL = 1e-14
+G_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,13 +171,14 @@ def _draw_start(
     return u * kappa * s / k
 
 
-def _constraint_violation(beta: np.ndarray, lo: float, hi: float) -> float:
-    val = float(np.arange(1, beta.size + 1) @ beta)
-    if val < lo:
-        return val - lo
-    if val > hi:
-        return val - hi
-    return 0.0
+def _slab_reflection(k_vec: np.ndarray) -> np.ndarray:
+    """Householder reflection H, symmetric and orthogonal, with
+    H e_1 = k/|k|; the identity when K = 1."""
+    v = -k_vec / np.linalg.norm(k_vec)
+    v[0] += 1.0
+    vv = v @ v
+    eye = np.eye(k_vec.size)
+    return eye if vv == 0.0 else eye - (2.0 / vv) * np.outer(v, v)
 
 
 def fit(
@@ -180,21 +190,19 @@ def fit(
     *,
     scenario: Scenario | None = None,
     order_bound: int | None = None,
-    support_tol: float = SUPPORT_TOL,
-    max_iter: int = 500,
-    ftol: float = 1e-14,
-    inner_restarts: int = 3,
 ) -> list[FitResult]:
     """Multistart constrained fit of MTSFM indices to a target spectrum.
 
     Runs ``n_starts`` independent quasi-Newton minimizations from random
     feasible starts (per-start RNG streams spawned from ``seed`` so the
     result list is reproducible). The quartic objective has poor local
-    minima; each start therefore runs ``inner_restarts`` independent
+    minima; each start therefore runs ``LOCAL_SEARCHES`` independent
     local searches from fresh feasible draws of its own stream and keeps
-    the lowest penalized objective. When a ``scenario`` is supplied each
-    result's detection metric is evaluated on the scenario grid and the
-    list is sorted by it, best first; otherwise by objective value.
+    the lowest objective. Every search stays inside the support slab, so
+    ``converged`` is L-BFGS-B's own success flag. When a ``scenario`` is
+    supplied each result's detection metric is evaluated on the scenario
+    grid and the list is sorted by it, best first; otherwise by objective
+    value.
     """
     if k_harmonics < 1:
         raise ValueError("k_harmonics must be >= 1")
@@ -202,60 +210,46 @@ def fit(
         raise ValueError("delta must lie in (0, 1)")
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    kappa = support_halfwidth(target, support_tol)
+    kappa = support_halfwidth(target)
     lo, hi = (1.0 - delta) * kappa, (1.0 + delta) * kappa
     if order_bound is None:
         order_bound = max(target.half_order, int(np.ceil(hi)) + 16)
-    feas_tol = 1e-8 + 1e-6 * kappa
     k_vec = np.arange(1, k_harmonics + 1, dtype=float)
+    # x = H beta turns lo <= k.beta <= hi into lo/|k| <= x_1 <= hi/|k|
+    h = _slab_reflection(k_vec)
+    k_norm = np.linalg.norm(k_vec)
+    bounds = [(lo / k_norm, hi / k_norm)] + [(None, None)] * (k_harmonics - 1)
 
-    opts = {"maxiter": max_iter, "ftol": ftol, "gtol": 1e-12}
+    def reflected(x):
+        f_val, grad = objective_and_gradient(h @ x, target, order_bound)
+        return f_val, h @ grad
 
     def run_local(beta0):
-        """Penalty rounds around L-BFGS-B, restarting once on abnormal
-        line-search termination; returns (beta, penalized f, iterations,
+        """One bounded L-BFGS-B search; returns (beta, f, iterations,
         success)."""
-        weight = max(target.energy**2, 1.0)
-        beta, nit, success = beta0, 0, False
-        for _round in range(4):
-
-            def penalized(b):
-                f_val, grad = objective_and_gradient(b, target, order_bound)
-                viol = _constraint_violation(np.asarray(b), lo, hi)
-                return (
-                    f_val + weight * viol**2,
-                    grad + 2.0 * weight * viol * k_vec,
-                )
-
-            res = minimize(penalized, beta, jac=True, method="L-BFGS-B", options=opts)
-            nit += res.nit
-            if not res.success:
-                res2 = minimize(
-                    penalized, res.x, jac=True, method="L-BFGS-B", options=opts
-                )
-                nit += res2.nit
-                if res2.fun <= res.fun:
-                    res = res2
-            beta, success = res.x, bool(res.success)
-            if abs(_constraint_violation(beta, lo, hi)) <= feas_tol:
-                break
-            weight *= 10.0
-        return beta, float(res.fun), nit, success
+        res = minimize(
+            reflected,
+            h @ beta0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            tol=F_TOL,
+            options={"maxiter": MAX_ITER, "gtol": G_TOL},
+        )
+        # with every variable fixed (K = 1, kappa = 0) scipy reports no nit
+        return h @ res.x, float(res.fun), res.get("nit", 0), bool(res.success)
 
     results: list[FitResult] = []
     for i in range(n_starts):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
         beta0 = _draw_start(rng, k_harmonics, kappa, delta)
-        beta, f_pen, nit, success = run_local(beta0)
-        for _ in range(max(inner_restarts - 1, 0)):
+        beta, f_val, nit, success = run_local(beta0)
+        for _ in range(LOCAL_SEARCHES - 1):
             alt0 = _draw_start(rng, k_harmonics, kappa, delta)
             alt, alt_f, alt_nit, alt_ok = run_local(alt0)
             nit += alt_nit
-            if alt_f < f_pen:
-                beta, f_pen, success = alt, alt_f, alt_ok
-        f_final = objective(beta, target, order_bound)
-        constraint_value = float(k_vec @ beta)
-        feasible = abs(_constraint_violation(beta, lo, hi)) <= feas_tol
+            if alt_f < f_val:
+                beta, f_val, success = alt, alt_f, alt_ok
         d2 = float("nan")
         if scenario is not None:
             w = MtsfmWaveform(
@@ -266,12 +260,12 @@ def fit(
         results.append(
             FitResult(
                 beta=tuple(float(b) for b in beta),
-                objective=f_final,
-                constraint_value=constraint_value,
+                objective=f_val,
+                constraint_value=float(k_vec @ beta),
                 d_squared_achieved=d2,
                 init_beta=tuple(float(b) for b in beta0),
                 iterations=nit,
-                converged=bool(success and feasible),
+                converged=success,
                 start_index=i,
             )
         )
