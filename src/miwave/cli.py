@@ -94,6 +94,11 @@ def _report(fit_csv: str) -> None:
     sys.stdout.write("\n")
 
 
+def _describe(exc: BaseException) -> str:
+    """The exception's message followed by any notes added on the way up."""
+    return " ".join([str(exc), *getattr(exc, "__notes__", ())])
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "report":
@@ -122,10 +127,10 @@ def main(argv=None) -> int:
             path = run_roc(config, getattr(args, "energy", None))
             print(f"wrote {path}")
     except InfeasibleError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        print(f"numerical error: {_describe(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

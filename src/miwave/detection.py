@@ -30,6 +30,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MonteCarloRoc:
+    """Empirical ROC points at the requested false-alarm rates.
+
+    ``p_fa_stderr`` and ``p_d_stderr`` are binomial standard errors
+    sqrt(p*(1-p)/trials) alone. The threshold is itself an empirical H0
+    quantile, whose noise adds about g^2*p_fa*(1-p_fa)/trials to the
+    variance of ``p_d``, with g = P_D/((1+d^2)*p_fa); so ``p_d_stderr``
+    understates the spread of ``p_d`` (by up to 1.5x on the 21-bin notch
+    scene at p_fa = 0.01).
+    """
+
     trials: int
     thresholds: np.ndarray = field(repr=False)
     p_fa: np.ndarray = field(repr=False)
@@ -98,7 +108,9 @@ def monte_carlo_roc(
     P_h(f_m)*T and P_n(f_m)*T (the Fourier coefficient of a stationary
     process over a window of length T has variance PSD*T), plus a fresh
     target amplitude A ~ CN(0, sigma_A^2) under H1. Thresholds are the
-    empirical H0 quantiles at the requested false-alarm rates.
+    empirical H0 quantiles at the requested false-alarm rates; the
+    reported standard errors leave out the noise of those quantiles
+    (see :class:`MonteCarloRoc`).
     """
     if trials < 1000:
         raise ValueError("trials must be at least 1000")

@@ -205,9 +205,10 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
         try:
             design = design_mi(scenario)
         except Exception as exc:
-            raise type(exc)(
-                f"{exc} (scenario {config.clutter_kind}, E={energy:g})"
-            ) from exc
+            # a note keeps the exception's type and fields, whatever its
+            # constructor takes
+            exc.add_note(f"(scenario {config.clutter_kind}, E={energy:g})")
+            raise
         mi_esds[energy] = design.esd
         d2_mi = detection_metric(design.esd, scenario)
         target = solve_ofdm_coeffs(design.esd, grid, integrate(design.esd))
@@ -290,7 +291,12 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
 
 def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
     """Monte Carlo ROC validation of the MI design at one energy; writes
-    ``roc.csv`` with analytic and empirical detection probabilities."""
+    ``roc.csv`` with analytic and empirical detection probabilities.
+
+    The ``stderr`` column is the binomial standard error of the empirical
+    P_D alone; it leaves out the noise of the empirical H0-quantile
+    threshold, so it understates the spread of P_D (see
+    :class:`~miwave.detection.MonteCarloRoc`)."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     energy = float(energy if energy is not None else config.energy_list[0])

@@ -17,6 +17,7 @@ on one coordinate, which L-BFGS-B enforces exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +125,21 @@ def _target_power(target: OfdmTarget, order_bound: int) -> np.ndarray:
     return t
 
 
+@functools.lru_cache(maxsize=32)
+def _shift_maps(k_max: int, order_bound: int) -> np.ndarray:
+    """Indices of c_{m-k} (row 0) and c_{m+k} (row 1) for k = 1..K and
+    |m| <= order_bound, into coefficients of order bound order_bound + K.
+
+    Cached and shared by every caller, hence read-only.
+    """
+    m = np.arange(-order_bound, order_bound + 1)
+    k = np.arange(1, k_max + 1)[:, None]
+    center = order_bound + k_max
+    maps = np.stack([m - k + center, m + k + center])
+    maps.flags.writeable = False
+    return maps
+
+
 def objective_and_gradient(
     beta, target: OfdmTarget, order_bound: int
 ) -> tuple[float, np.ndarray]:
@@ -134,22 +150,18 @@ def objective_and_gradient(
     exp(j*phi) under the cosine harmonic at index k.
     """
     beta = np.asarray(beta, dtype=float)
+    if beta.size < 1 or not np.isfinite(beta).all():
+        raise ValueError("modulation indices must be finite and nonempty")
     k_max = beta.size
-    w = MtsfmWaveform(1.0, 1.0, tuple(beta))
-    ext = mtsfm.coefficients(w, order_bound + k_max, tail_tol=np.inf)
-    c_ext = ext.coeffs
-    center = order_bound + k_max
-    m = np.arange(-order_bound, order_bound + 1)
-    c = c_ext[m + center]
+    c_ext = mtsfm.raw_coefficients(beta, 1.0, order_bound + k_max)
+    c = c_ext[k_max : k_max + 2 * order_bound + 1]
     u = np.abs(c) ** 2
     t_pow = _target_power(target, order_bound)
     resid = target.energy * u - t_pow
     f_val = float(np.sum(resid**2))
-    grad = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        shift = c_ext[m - k + center] + c_ext[m + k + center]
-        du = np.imag(np.conj(c) * shift)
-        grad[k - 1] = 2.0 * target.energy * np.sum(resid * du)
+    pair = c_ext[_shift_maps(k_max, order_bound)]
+    du = np.imag(np.conj(c) * (pair[0] + pair[1]))
+    grad = 2.0 * target.energy * np.sum(resid * du, axis=1)
     return f_val, grad
 
 

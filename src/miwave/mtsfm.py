@@ -9,6 +9,7 @@ of sinc carriers at m/T, which is what the spectral fitting exploits.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -105,16 +106,18 @@ def _check_support(w: MtsfmWaveform, t: np.ndarray) -> None:
         raise ValueError("t outside the waveform support [-T/2, T/2]")
 
 
+def _harmonic_cosines(t: np.ndarray, num_harmonics: int, duration: float) -> np.ndarray:
+    """cos(2*pi*k*t/T) for k = 1..K along a new last axis."""
+    k = np.arange(1, num_harmonics + 1)
+    return np.cos(2.0 * np.pi * np.multiply.outer(t, k) / duration)
+
+
 def phase(w: MtsfmWaveform, t) -> np.ndarray | float:
     """Instantaneous phase phi(t) = -sum_k beta_k cos(2*pi*k*t/T)."""
     t_arr = np.asarray(t, dtype=float)
     _check_support(w, t_arr)
-    k = np.arange(1, w.num_harmonics + 1)
-    beta = np.array(w.mod_indices)
-    out = -np.sum(
-        beta * np.cos(2.0 * np.pi * np.multiply.outer(t_arr, k) / w.duration),
-        axis=-1,
-    )
+    cos_kt = _harmonic_cosines(t_arr, w.num_harmonics, w.duration)
+    out = -np.sum(np.array(w.mod_indices) * cos_kt, axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -171,14 +174,49 @@ def default_order_bound(w: MtsfmWaveform, guard: int = 16) -> int:
     return int(math.ceil(w.index_weight)) + guard
 
 
-def _coeffs_fft(w: MtsfmWaveform, order_bound: int) -> np.ndarray:
-    n = 1 << max(int(math.ceil(math.log2(8 * (2 * order_bound + 1)))), 6)
-    t = -w.duration / 2.0 + np.arange(n) * (w.duration / n)
-    g = np.exp(1j * phase(w, t))
-    f = np.fft.fft(g) / n
+def _fft_size(order_bound: int) -> int:
+    return 1 << max(int(math.ceil(math.log2(8 * (2 * order_bound + 1)))), 6)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_table(duration: float, num_harmonics: int, n: int) -> np.ndarray:
+    """cos(2*pi*k*t/T) at the n FFT nodes t = -T/2 + i*T/n, shape (n, K).
+
+    Cached and shared by every caller, hence read-only. A fit reads one
+    or two tables; the small cache bounds what large K and n retain.
+    """
+    t = -duration / 2.0 + np.arange(n) * (duration / n)
+    return _read_only(_harmonic_cosines(t, num_harmonics, duration))
+
+
+@functools.lru_cache(maxsize=32)
+def _order_fold(order_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """FFT bin m mod n of each order |m| <= order_bound, and the (-1)^m
+    ramp that accounts for the -T/2 origin of the samples; read-only."""
     m = np.arange(-order_bound, order_bound + 1)
-    # (-1)^m phase ramp accounts for the -T/2 origin of the samples
-    return f[m % n] * (-1.0) ** m
+    return _read_only(m % _fft_size(order_bound)), _read_only((-1.0) ** m)
+
+
+def raw_coefficients(
+    beta: np.ndarray, duration: float, order_bound: int
+) -> np.ndarray:
+    """Fourier coefficients c_m, |m| <= order_bound, of exp(j*phi(t)) by
+    dense FFT quadrature of the phase on cached nodes.
+
+    The kernel behind :func:`coefficients` and the spectral-fit
+    objective: ``beta`` must be a finite float array of length K >= 1,
+    since nothing here validates it.
+    """
+    n = _fft_size(order_bound)
+    phi = -np.sum(beta * _phase_table(duration, beta.size, n), axis=-1)
+    f = np.fft.fft(np.exp(1j * phi)) / n
+    fold, ramp = _order_fold(order_bound)
+    return f[fold] * ramp
 
 
 def coefficients(
@@ -192,13 +230,13 @@ def coefficients(
     With ``order_bound=None`` the truncation grows (guard doubling from
     16) until the Parseval tail is below ``tail_tol``. An explicit
     ``order_bound`` is honored as-is; a tail above ``tail_tol`` then
-    only triggers a warning, since callers such as the spectral-fit
-    objective deliberately truncate.
+    only triggers a warning, since a caller may truncate on purpose.
     """
+    beta = np.array(w.mod_indices)
     if order_bound is not None:
         if order_bound < 1:
             raise ValueError("order_bound must be >= 1")
-        c = _coeffs_fft(w, order_bound)
+        c = raw_coefficients(beta, w.duration, order_bound)
         cs = CoefficientSet(c, order_bound, w.energy)
         if cs.tail_energy > tail_tol:
             warnings.warn(
@@ -210,7 +248,7 @@ def coefficients(
     guard = 16
     base = int(math.ceil(w.index_weight))
     for _ in range(10):
-        c = _coeffs_fft(w, base + guard)
+        c = raw_coefficients(beta, w.duration, base + guard)
         cs = CoefficientSet(c, base + guard, w.energy)
         if cs.tail_energy <= tail_tol:
             return cs

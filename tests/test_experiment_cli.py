@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import yaml
 
+import miwave.experiment
 from miwave import design_mi, detection_metric
-from miwave.cli import EXIT_CONFIG, EXIT_OK, main
+from miwave.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from miwave.errors import InfeasibleError
 from miwave.experiment import (
     ExperimentConfig,
     load_config,
@@ -201,6 +203,29 @@ class TestCli:
             clutter_params={"level": 1.0, "notch_depth": 1.0, "notch_width": 2.0},
         )
         assert main(["design", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_design_error_keeps_type_and_names_scene(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # an error type whose constructor takes more than a message must
+        # reach the caller as itself, with the scenario and energy added
+        class CodedError(InfeasibleError):
+            def __init__(self, code, detail):
+                super().__init__(f"code {code}: {detail}")
+                self.code = code
+
+        def failing_design(scenario):
+            raise CodedError(7, "no design")
+
+        monkeypatch.setattr(miwave.experiment, "design_mi", failing_design)
+        cfg, path = self._write_cfg(tmp_path)
+        with pytest.raises(CodedError) as info:
+            run_experiment(cfg, design_only=True)
+        assert info.value.code == 7
+        assert info.value.__notes__ == ["(scenario clutter_notch, E=0.5)"]
+        assert main(["design", "--config", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "code 7: no design (scenario clutter_notch, E=0.5)" in err
 
     def test_report_on_missing_file(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "none.csv")]) == EXIT_CONFIG

@@ -17,6 +17,7 @@ from miwave import (
     solve_ofdm_coeffs,
     support_halfwidth,
 )
+from miwave import fitting, mtsfm
 from miwave.experiment import load_config
 from miwave.fitting import objective_and_gradient
 
@@ -110,20 +111,74 @@ class TestObjective:
         expect = e**2 * (1 - 1 / n) ** 2 + 2 * l * e**2 / n**2
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("k_harm", [4, 8, 32])
+    def test_gradient_matches_finite_differences(self, k_harm):
         rng = np.random.default_rng(23)
         c = rng.uniform(0, 1, 31)
         tgt = OfdmTarget(c / np.linalg.norm(c), 15, 1.5)
-        beta = rng.uniform(-0.8, 0.8, 4)
+        beta = rng.uniform(-0.8, 0.8, k_harm)
         _, grad = objective_and_gradient(beta, tgt, 20)
         h = 1e-6
-        for k in range(4):
-            e_k = np.zeros(4)
+        for k in range(k_harm):
+            e_k = np.zeros(k_harm)
             e_k[k] = h
             fd = (
                 objective(beta + e_k, tgt, 20) - objective(beta - e_k, tgt, 20)
             ) / (2 * h)
             assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+
+    @staticmethod
+    def _loop_reference(beta, target, order_bound):
+        """The objective from the public coefficient API and one gradient
+        component per harmonic, in the same arithmetic order."""
+        k_max = len(beta)
+        w = MtsfmWaveform(1.0, 1.0, tuple(beta))
+        ext = coefficients(w, order_bound + k_max, tail_tol=np.inf).coeffs
+        center = order_bound + k_max
+        m = np.arange(-order_bound, order_bound + 1)
+        c = ext[m + center]
+        t_pow = np.zeros(2 * order_bound + 1)
+        lo = min(order_bound, target.half_order)
+        inner = np.arange(-lo, lo + 1)
+        t_pow[inner + order_bound] = target.c[inner + target.half_order] ** 2
+        resid = target.energy * np.abs(c) ** 2 - t_pow
+        grad = np.empty(k_max)
+        for k in range(1, k_max + 1):
+            shift = ext[m - k + center] + ext[m + k + center]
+            du = np.imag(np.conj(c) * shift)
+            grad[k - 1] = 2.0 * target.energy * np.sum(resid * du)
+        return float(np.sum(resid**2)), grad
+
+    @pytest.mark.parametrize("order_bound", [9, 15, 40])
+    @pytest.mark.parametrize("k_harm", [1, 2, 8, 32])
+    def test_equals_loop_reference_bit_for_bit(self, k_harm, order_bound):
+        rng = np.random.default_rng(100 * k_harm + order_bound)
+        c = rng.uniform(0, 1, 31)
+        tgt = OfdmTarget(c / np.linalg.norm(c), 15, 1.5)
+        for _ in range(5):
+            beta = rng.uniform(-1.5, 1.5, k_harm) / np.sqrt(k_harm)
+            f_val, grad = objective_and_gradient(beta, tgt, order_bound)
+            f_ref, grad_ref = self._loop_reference(beta, tgt, order_bound)
+            assert f_val == f_ref
+            assert grad.tolist() == grad_ref.tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, bad):
+        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
+        with pytest.raises(ValueError):
+            objective_and_gradient(np.array([0.3, bad]), tgt, 4)
+
+    def test_cached_tables_are_read_only(self):
+        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
+        objective_and_gradient(np.array([0.3, 0.1, 0.2]), tgt, 6)
+        cached = [
+            mtsfm._phase_table(1.0, 3, mtsfm._fft_size(9)),
+            *mtsfm._order_fold(9),
+            fitting._shift_maps(3, 6),
+        ]
+        for table in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 class TestFit:

@@ -12,6 +12,7 @@ from miwave import (
     spectrum,
     time_series,
 )
+from miwave import mtsfm
 from miwave.mtsfm import default_order_bound, max_instantaneous_freq, modulation, phase
 
 
@@ -136,6 +137,18 @@ class TestCoefficients:
         center = conv.size // 2
         for m in range(-30, 31):
             assert abs(cs.at(m) - conv[center + m]) < 1e-8
+
+    def test_kernel_is_fft_of_public_phase(self):
+        # the cached phase table must reproduce phase() on the FFT nodes
+        w = MtsfmWaveform(2.5, 1.0, (0.7, -0.3, 1.1))
+        order_bound = 12
+        n = mtsfm._fft_size(order_bound)
+        t = -w.duration / 2.0 + np.arange(n) * (w.duration / n)
+        f = np.fft.fft(np.exp(1j * phase(w, t))) / n
+        m = np.arange(-order_bound, order_bound + 1)
+        want = f[m % n] * (-1.0) ** m
+        got = coefficients(w, order_bound, tail_tol=np.inf).coeffs
+        assert got.tolist() == want.tolist()
 
     def test_truncation_warns(self):
         w = MtsfmWaveform(1.0, 1.0, (6.0, 3.0))
