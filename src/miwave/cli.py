@@ -8,7 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 config error (including a scene whose design
 would put unbounded energy on a zero-channel bin), 3 infeasible design
-target.
+target. No subcommand reaches exit 3 today: ``InfeasibleError`` comes
+only from ``match_rms_bandwidth`` without ``clamp``, and
+``run_experiment`` always clamps; the mapping stays for any future
+source of it.
 """
 
 from __future__ import annotations

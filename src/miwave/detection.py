@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Scenario, SpectralDensity
+from .spectral import Scenario, SpectralDensity, as_int
 
 __all__ = [
     "MonteCarloRoc",
@@ -38,6 +38,10 @@ class MonteCarloRoc:
     variance of ``p_d``, with g = P_D/((1+d^2)*p_fa); so ``p_d_stderr``
     understates the spread of ``p_d`` (by up to 1.5x on the 21-bin notch
     scene at p_fa = 0.01).
+
+    :func:`monte_carlo_roc` streams its trials in chunks but draws the
+    same numbers in the same order as holding every (trials x bins)
+    sample at once, so a seed gives the same points either way.
     """
 
     trials: int
@@ -89,10 +93,29 @@ def np_statistic(x_bins, s_bins, scenario: Scenario) -> float:
     return float(np.abs(acc) ** 2)
 
 
-def _cn_samples(rng: np.random.Generator, var: np.ndarray, shape) -> np.ndarray:
-    # circular complex normal CN(0, var) per bin
-    scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+# rows of one standard-normal draw hold about this many doubles (512 KiB)
+_CHUNK_DOUBLES = 1 << 16
+
+
+def _projected_draws(rng, coefs, trials: int) -> np.ndarray:
+    """Sum over coefs of Z @ coef, Z a fresh standard-normal (trials x bins)
+    block, drawn without ever holding Z.
+
+    Each Z is drawn in row chunks of about ``_CHUNK_DOUBLES`` values. A
+    generator fills sequentially and caches nothing, so the chunks hold
+    the numbers of one whole draw of Z.
+    """
+    bins = coefs[0].size
+    rows = min(trials, max(1, _CHUNK_DOUBLES // bins))
+    chunk = np.empty((rows, bins))
+    acc = np.zeros((trials, 2))
+    for coef in coefs:
+        real_coef = np.column_stack([coef.real, coef.imag])
+        for start in range(0, trials, rows):
+            z = chunk[: min(rows, trials - start)]
+            rng.standard_normal(out=z)
+            acc[start : start + z.shape[0]] += z @ real_coef
+    return acc[:, 0] + 1j * acc[:, 1]
 
 
 def monte_carlo_roc(
@@ -111,12 +134,25 @@ def monte_carlo_roc(
     empirical H0 quantiles at the requested false-alarm rates; the
     reported standard errors leave out the noise of those quantiles
     (see :class:`MonteCarloRoc`).
+
+    The statistic is linear in the draws, so no (trials x bins) array is
+    formed. One ``default_rng(seed)`` stream gives four standard-normal
+    (trials x bins) blocks, in this order: clutter real, clutter
+    imaginary, noise real, noise imaginary. Each block is drawn in row
+    chunks, and each chunk is reduced at once to its per-trial share of
+    the H0 receiver output u0. The amplitude's real and imaginary parts
+    (trials each) follow. Memory is O(trials + chunk), and the numbers
+    drawn are those of drawing each block whole, so a seed gives the
+    same ROC as that formulation.
     """
+    trials = as_int("trials", trials)
     if trials < 1000:
         raise ValueError("trials must be at least 1000")
     s = np.asarray(waveform_spectrum_bins, dtype=complex)
     if s.shape != (scenario.grid.num_bins,):
         raise ValueError("waveform spectrum must match the scenario grid")
+    if not np.isfinite(s).all():
+        raise ValueError("waveform spectrum must be finite")
     p_fa_grid = np.asarray(p_fa_grid, dtype=float)
     if np.any(p_fa_grid <= 0) or np.any(p_fa_grid >= 1):
         raise ValueError("p_fa grid values must lie in (0, 1)")
@@ -128,15 +164,16 @@ def monte_carlo_roc(
     denom = scenario.channel_psd.values * np.abs(s) ** 2 + scenario.noise_psd.values
     weight = np.conj(s) / denom
 
-    shape = (trials, s.size)
-    clutter = _cn_samples(rng, var_h, shape) * s
-    noise = _cn_samples(rng, var_n, shape)
-    x0 = clutter + noise
-    amp = _cn_samples(rng, np.array(scenario.target_variance), (trials, 1))
-    x1 = amp * s + x0
+    # x0 = sqrt(var_h/2)*(Zr + 1j*Zi)*s + sqrt(var_n/2)*(Nr + 1j*Ni), so
+    # u0 = x0 @ weight sums one term per block
+    clutter = np.sqrt(var_h / 2.0) * s * weight
+    noise = np.sqrt(var_n / 2.0) * weight
+    u0 = _projected_draws(rng, (clutter, 1j * clutter, noise, 1j * noise), trials)
+    amp_scale = np.sqrt(scenario.target_variance / 2.0)
+    amp = amp_scale * (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
 
-    stat0 = np.abs(x0 @ weight) ** 2
-    stat1 = np.abs(x1 @ weight) ** 2
+    stat0 = np.abs(u0) ** 2
+    stat1 = np.abs(amp * (s @ weight) + u0) ** 2
 
     thresholds = np.quantile(stat0, 1.0 - p_fa_grid)
     p_fa_hat = np.mean(stat0[:, None] > thresholds[None, :], axis=0)

@@ -26,7 +26,7 @@ from .design import design_mi
 from .detection import analytic_roc, detection_metric, monte_carlo_roc
 from .fitting import fit, solve_ofdm_coeffs, support_halfwidth
 from .mtsfm import MtsfmWaveform, coefficients, esd_on_grid, rms_bandwidth
-from .spectral import Scenario, build_parametric_psd, integrate, make_grid
+from .spectral import Scenario, as_int, build_parametric_psd, integrate, make_grid
 
 __all__ = [
     "ExperimentConfig",
@@ -67,6 +67,8 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for name in ("k_harmonics", "n_starts", "seed", "trials"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if not self.energy_list or any(e <= 0 for e in self.energy_list):
             raise ValueError("energy_list must be nonempty with positive values")
         if self.n_starts < 1:

@@ -8,6 +8,7 @@ grid and the discrete Riemann integral live here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,20 @@ __all__ = [
     "build_parametric_psd",
     "PSD_KINDS",
 ]
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as a plain int; ``ValueError`` unless it is an integer.
+
+    Accepts whatever ``operator.index`` accepts (int, numpy integers)
+    except bool, so 1e5, 100000.0 and "100000" are rejected.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from miwave import detection
 from miwave import (
     Scenario,
     SpectralDensity,
@@ -117,12 +120,93 @@ class TestNpStatistic:
         assert np_statistic(x, s, sc) == abs(acc) ** 2
 
 
+def _full_array_roc(s, scenario, trials, seed, p_fa_grid):
+    """Reference: every (trials x bins) sample held at once, as drawn before
+    monte_carlo_roc streamed them."""
+    rng = np.random.default_rng(seed)
+
+    def cn(var, shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.sqrt(var / 2.0) * z
+
+    T = scenario.grid.duration
+    p_h, p_n = scenario.channel_psd.values, scenario.noise_psd.values
+    weight = np.conj(s) / (p_h * np.abs(s) ** 2 + p_n)
+    shape = (trials, s.size)
+    x0 = cn(p_h * T, shape) * s + cn(p_n * T, shape)
+    x1 = cn(np.array(scenario.target_variance), (trials, 1)) * s + x0
+    stat0 = np.abs(x0 @ weight) ** 2
+    stat1 = np.abs(x1 @ weight) ** 2
+    thresholds = np.quantile(stat0, 1.0 - np.asarray(p_fa_grid))
+    p_fa = np.mean(stat0[:, None] > thresholds, axis=0)
+    p_d = np.mean(stat1[:, None] > thresholds, axis=0)
+    return thresholds, p_fa, p_d
+
+
+def _colored_case(band_width, duration=1.0):
+    # nonzero, bin-varying clutter and a complex waveform spectrum
+    grid = make_grid(band_width, duration)
+    rng = np.random.default_rng(grid.num_bins)
+    noise = SpectralDensity(grid, rng.uniform(0.2, 1.0, grid.num_bins))
+    clutter = SpectralDensity(grid, rng.uniform(0.1, 2.0, grid.num_bins))
+    sc = Scenario(noise, clutter, 1.5, 1.0)
+    phase = np.exp(2j * np.pi * rng.uniform(size=grid.num_bins))
+    s = rng.uniform(0.0, 1.0, grid.num_bins) * phase
+    return s, sc
+
+
 class TestMonteCarlo:
     def test_rejects_small_trials(self):
         grid = make_grid(4.0, 1.0)
         sc = _flat_scenario(grid)
         with pytest.raises(ValueError):
             monte_carlo_roc(np.ones(grid.num_bins), sc, 10, 0)
+
+    @pytest.mark.parametrize("trials", [20000.0, "20000", True, None])
+    def test_rejects_non_integer_trials(self, trials):
+        grid = make_grid(4.0, 1.0)
+        sc = _flat_scenario(grid)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            monte_carlo_roc(np.ones(grid.num_bins), sc, trials, 0)
+
+    def test_accepts_numpy_integer_trials(self):
+        grid = make_grid(4.0, 1.0)
+        mc = monte_carlo_roc(np.ones(grid.num_bins), _flat_scenario(grid), np.int64(2000), 0)
+        assert type(mc.trials) is int and mc.trials == 2000
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_spectrum(self, bad):
+        grid = make_grid(4.0, 1.0)
+        s = np.ones(grid.num_bins, dtype=complex)
+        s[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo_roc(s, _flat_scenario(grid), 2000, 0)
+
+    @pytest.mark.parametrize("band_width", [10.0, 100.0])
+    @pytest.mark.parametrize("trials", [3001, 20000, "chunk_multiple"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_full_array_reference(self, band_width, trials, seed):
+        s, sc = _colored_case(band_width)
+        if trials == "chunk_multiple":
+            trials = 3 * (detection._CHUNK_DOUBLES // s.size)
+        p_fa_grid = (0.001, 0.01, 0.1, 0.5)
+        mc = monte_carlo_roc(s, sc, trials, seed, p_fa_grid)
+        thresholds, p_fa, p_d = _full_array_roc(s, sc, trials, seed, p_fa_grid)
+        np.testing.assert_array_equal(mc.p_fa, p_fa)
+        np.testing.assert_array_equal(mc.p_d, p_d)
+        np.testing.assert_allclose(mc.thresholds, thresholds, rtol=1e-12, atol=0)
+
+    def test_memory_does_not_scale_with_trials_times_bins(self):
+        s, sc = _colored_case(100.0)
+        assert s.size == 101
+        tracemalloc.start()
+        try:
+            monte_carlo_roc(s, sc, 20000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (20000 x 101) complex array alone is 32 MB
+        assert peak < 8e6
 
     def test_null_target_matches_diagonal(self):
         # sigma_A^2 = 0 makes H1 identical to H0 in distribution

@@ -63,6 +63,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             smoke_config(tmp_path, energy_list=(1.0, -2.0))
 
+    @pytest.mark.parametrize("field", ["trials", "n_starts", "k_harmonics", "seed"])
+    @pytest.mark.parametrize("value", [3.0, "1e5", True])
+    def test_rejects_non_integer_counts(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            smoke_config(tmp_path, **{field: value})
+
+    def test_integer_counts_stored_as_int(self, tmp_path):
+        cfg = smoke_config(tmp_path, trials=np.int64(3000), seed=np.int32(4))
+        assert type(cfg.trials) is int and cfg.trials == 3000
+        assert type(cfg.seed) is int and cfg.seed == 4
+
     def test_content_hash_tracks_content(self, tmp_path):
         a = smoke_config(tmp_path / "out")
         b = smoke_config(tmp_path / "out", seed=1)
@@ -194,6 +205,16 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_text("- just\n- a list\n")
         assert main(["design", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("trials", ["100000.0", "1e5"])
+    def test_non_integer_trials_is_config_error(self, tmp_path, capsys, trials):
+        # YAML reads 100000.0 as a float and 1e5 as a string
+        cfg, path = self._write_cfg(tmp_path)
+        text = path.read_text()
+        assert "trials: 2000\n" in text
+        path.write_text(text.replace("trials: 2000\n", f"trials: {trials}\n"))
+        assert main(["roc", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_unbounded_scenario_is_config_error(self, tmp_path, capsys):
         # a clutter notch of depth 1.0 zeroes P_h where the design wants
