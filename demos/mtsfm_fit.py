@@ -52,7 +52,7 @@ print(f"fit ESD captures {integrate(mtsfm_esd) / scenario.energy:.4f} "
       "of the energy in band")
 
 beta_rms = rms_bandwidth(design.esd, scenario.energy)
-chirp = match_rms_bandwidth(beta_rms, 1.0, scenario.energy, grid, clamp=True)
+chirp = match_rms_bandwidth(beta_rms, 1.0, scenario.energy, grid)
 d2_lfm = detection_metric(lfm_esd(chirp, grid), scenario)
 print(f"matched LFM (B = {chirp.sweep_bandwidth:.2f} Hz): d^2 = {d2_lfm:.4f}")
 

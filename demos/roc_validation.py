@@ -39,4 +39,4 @@ print(f"{'P_FA':>8} {'P_D analytic':>14} {'P_D empirical':>14} {'devs':>6}")
 for (p_fa, p_d), p_hat, se in zip(analytic_roc(d2, p_fa_grid), mc.p_d, mc.p_d_stderr):
     dev = abs(p_hat - p_d) / max(se, 1e-12)
     print(f"{p_fa:8.3f} {p_d:14.4f} {p_hat:14.4f} {dev:6.1f}")
-print("\n(deviations are in binomial standard errors)")
+print("\n(deviations are in standard errors that include the threshold noise)")

@@ -16,12 +16,7 @@ from .spectral import (  # noqa: F401
     make_grid,
 )
 from .design import MiDesign, design_mi, esd_for_lambda, solve_lambda  # noqa: F401
-from .detection import (  # noqa: F401
-    analytic_roc,
-    detection_metric,
-    monte_carlo_roc,
-    np_statistic,
-)
+from .detection import analytic_roc, detection_metric, monte_carlo_roc  # noqa: F401
 from .mtsfm import (  # noqa: F401
     CoefficientSet,
     MtsfmWaveform,
@@ -45,7 +40,4 @@ from .baselines import (  # noqa: F401
     lfm_time_series,
     match_rms_bandwidth,
 )
-from .errors import (  # noqa: F401
-    InfeasibleError,
-    UnboundedAllocationError,
-)
+from .errors import UnboundedAllocationError  # noqa: F401

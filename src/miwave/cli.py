@@ -7,11 +7,9 @@ Subcommands:
   report  summarize a fit CSV into quartile statistics
 
 Exit codes: 0 success, 2 config error (including a scene whose design
-would put unbounded energy on a zero-channel bin), 3 infeasible design
-target. No subcommand reaches exit 3 today: ``InfeasibleError`` comes
-only from ``match_rms_bandwidth`` without ``clamp``, and
-``run_experiment`` always clamps; the mapping stays for any future
-source of it.
+would put unbounded energy on a zero-channel bin). An RMS-bandwidth
+target the LFM comparator cannot reach is not an error: the comparator
+clamps to a full-band sweep with a warning.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InfeasibleError
 from .experiment import (
     ExperimentConfig,
     load_config,
@@ -33,7 +30,6 @@ from .experiment import (
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,9 +125,6 @@ def main(argv=None) -> int:
         elif args.command == "roc":
             path = run_roc(config, getattr(args, "energy", None))
             print(f"wrote {path}")
-    except InfeasibleError as exc:
-        print(f"numerical error: {_describe(exc)}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG

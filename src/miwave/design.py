@@ -14,7 +14,6 @@ cumulative sums give the exact water level (Palomar & Fonollosa,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,60 +34,43 @@ class MiDesign:
     active_set: np.ndarray = field(repr=False)
 
 
-def _channel_values(scenario: Scenario, zero_channel_floor: bool) -> np.ndarray:
-    """Channel PSD, with zero bins raised to 1e-12*max(P_h) under the floor."""
-    p_h = scenario.channel_psd.values
-    if zero_channel_floor:
-        p_h = np.where(p_h == 0, 1e-12 * p_h.max(), p_h)
-    return p_h
-
-
-def esd_for_lambda(
-    scenario: Scenario, lam: float, *, zero_channel_floor: bool = False
-) -> SpectralDensity:
+def esd_for_lambda(scenario: Scenario, lam: float) -> SpectralDensity:
     """Evaluate the water-filling ESD for a given water level.
 
     Bins where the channel PSD is zero but the water-filling numerator is
-    positive would receive infinite energy; by default that raises
-    :class:`UnboundedAllocationError`. With ``zero_channel_floor=True``
-    those bins instead use a tiny floor of 1e-12 times the channel peak
-    (warning emitted).
+    positive would receive infinite energy; that raises
+    :class:`UnboundedAllocationError`.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     p_n = scenario.noise_psd.values
+    p_h = scenario.channel_psd.values
     numer = np.sqrt(p_n / lam) - p_n
     pos = numer > 0
-    hot = pos & (scenario.channel_psd.values == 0)
+    hot = pos & (p_h == 0)
     if np.any(hot):
-        if not zero_channel_floor:
-            raise UnboundedAllocationError(
-                f"channel PSD vanishes on {np.flatnonzero(hot).tolist()} where "
-                "the water-filling numerator is positive"
-            )
-        warnings.warn(
-            "substituting a 1e-12*max(P_h) floor on zero-channel bins",
-            stacklevel=2,
+        raise UnboundedAllocationError(
+            f"channel PSD vanishes on {np.flatnonzero(hot).tolist()} where "
+            "the water-filling numerator is positive"
         )
-    p_h = _channel_values(scenario, zero_channel_floor)
     values = np.zeros_like(p_n)
     values[pos] = numer[pos] / p_h[pos]
     return SpectralDensity(scenario.grid, values)
 
 
-def solve_lambda(scenario: Scenario, *, zero_channel_floor: bool = False) -> float:
+def solve_lambda(scenario: Scenario) -> float:
     """Exact water level matching the scenario's energy budget.
 
     With mu = lambda^(-1/2) and the bins sorted by s = sqrt(P_n), the
     energy with the first j bins active is df*(mu*A_j - B_j), where A_j
     and B_j are cumulative sums of s/P_h and P_n/P_h. Each j thus gives
     mu_j = (E/df + B_j)/A_j, and the solution is the first mu_j that does
-    not pass the next breakpoint s. Without the floor the water level must
-    stay below sqrt(P_n) of every zero-channel bin; if the budget cannot
-    be met there, :class:`UnboundedAllocationError` is raised.
+    not pass the next breakpoint s. The water level must stay below
+    sqrt(P_n) of every zero-channel bin; if the budget cannot be met
+    there, :class:`UnboundedAllocationError` is raised.
     """
     p_n = scenario.noise_psd.values
-    p_h = _channel_values(scenario, zero_channel_floor)
+    p_h = scenario.channel_psd.values
     s = np.sqrt(p_n)
     ceiling = np.min(s[p_h == 0], initial=np.inf)
     idx = np.flatnonzero(p_h > 0)
@@ -105,10 +87,10 @@ def solve_lambda(scenario: Scenario, *, zero_channel_floor: bool = False) -> flo
     return float(mu[fits[0]] ** -2)
 
 
-def design_mi(scenario: Scenario, *, zero_channel_floor: bool = False) -> MiDesign:
+def design_mi(scenario: Scenario) -> MiDesign:
     """Full matched-illumination design: solve the water level, evaluate
     the ESD, and report the active set."""
-    lam = solve_lambda(scenario, zero_channel_floor=zero_channel_floor)
-    esd = esd_for_lambda(scenario, lam, zero_channel_floor=zero_channel_floor)
+    lam = solve_lambda(scenario)
+    esd = esd_for_lambda(scenario, lam)
     active = np.flatnonzero(esd.values > 0)
     return MiDesign(esd, lam, integrate(esd), active)

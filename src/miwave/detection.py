@@ -23,7 +23,6 @@ __all__ = [
     "MonteCarloRoc",
     "detection_metric",
     "analytic_roc",
-    "np_statistic",
     "monte_carlo_roc",
 ]
 
@@ -32,12 +31,13 @@ __all__ = [
 class MonteCarloRoc:
     """Empirical ROC points at the requested false-alarm rates.
 
-    ``p_fa_stderr`` and ``p_d_stderr`` are binomial standard errors
-    sqrt(p*(1-p)/trials) alone. The threshold is itself an empirical H0
-    quantile, whose noise adds about g^2*p_fa*(1-p_fa)/trials to the
-    variance of ``p_d``, with g = P_D/((1+d^2)*p_fa); so ``p_d_stderr``
-    understates the spread of ``p_d`` (by up to 1.5x on the 21-bin notch
-    scene at p_fa = 0.01).
+    ``p_d_stderr`` is the standard error of ``p_d`` at the analytic
+    P_D = p_fa^(1/(1+d^2)). The threshold is an empirical H0 quantile,
+    so ``p_d`` carries the threshold's noise as well as its own binomial
+    noise: to first order the variance is
+    (P_D*(1-P_D) + g^2*p_fa*(1-p_fa))/trials with the ROC slope
+    g = P_D/((1+d^2)*p_fa). The covariance of the two terms is not
+    negative and is left out, so this bounds the variance from above.
 
     :func:`monte_carlo_roc` streams its trials in chunks but draws the
     same numbers in the same order as holding every (trials x bins)
@@ -48,9 +48,7 @@ class MonteCarloRoc:
     thresholds: np.ndarray = field(repr=False)
     p_fa: np.ndarray = field(repr=False)
     p_d: np.ndarray = field(repr=False)
-    p_fa_stderr: np.ndarray = field(repr=False)
     p_d_stderr: np.ndarray = field(repr=False)
-    rng_seed: int = 0
 
 
 def detection_metric(esd: SpectralDensity, scenario: Scenario) -> float:
@@ -73,24 +71,6 @@ def analytic_roc(d_squared: float, p_fa_list) -> list:
         raise ValueError("p_fa values must lie in (0, 1]")
     p_d = p_fa ** (1.0 / (1.0 + d_squared))
     return list(zip(p_fa.tolist(), p_d.tolist()))
-
-
-def np_statistic(x_bins, s_bins, scenario: Scenario) -> float:
-    """NP test statistic |sum_m X_m S_m* / (P_h |S_m|^2 + P_n)|^2.
-
-    Accumulates sequentially in bin order so an independent scalar-loop
-    check reproduces it exactly.
-    """
-    x = np.asarray(x_bins, dtype=complex)
-    s = np.asarray(s_bins, dtype=complex)
-    n = scenario.grid.num_bins
-    if x.shape != (n,) or s.shape != (n,):
-        raise ValueError("x_bins and s_bins must match the scenario grid")
-    denom = scenario.channel_psd.values * np.abs(s) ** 2 + scenario.noise_psd.values
-    acc = 0j
-    for m in range(n):
-        acc += x[m] * np.conj(s[m]) / denom[m]
-    return float(np.abs(acc) ** 2)
 
 
 # rows of one standard-normal draw hold about this many doubles (512 KiB)
@@ -131,9 +111,9 @@ def monte_carlo_roc(
     P_h(f_m)*T and P_n(f_m)*T (the Fourier coefficient of a stationary
     process over a window of length T has variance PSD*T), plus a fresh
     target amplitude A ~ CN(0, sigma_A^2) under H1. Thresholds are the
-    empirical H0 quantiles at the requested false-alarm rates; the
-    reported standard errors leave out the noise of those quantiles
-    (see :class:`MonteCarloRoc`).
+    empirical H0 quantiles at the requested false-alarm rates, and the
+    standard errors include the noise of those quantiles (see
+    :class:`MonteCarloRoc`).
 
     The statistic is linear in the draws, so no (trials x bins) array is
     formed. One ``default_rng(seed)`` stream gives four standard-normal
@@ -178,13 +158,15 @@ def monte_carlo_roc(
     thresholds = np.quantile(stat0, 1.0 - p_fa_grid)
     p_fa_hat = np.mean(stat0[:, None] > thresholds[None, :], axis=0)
     p_d_hat = np.mean(stat1[:, None] > thresholds[None, :], axis=0)
-    se = lambda p: np.sqrt(p * (1.0 - p) / trials)
+
+    d2 = detection_metric(SpectralDensity(scenario.grid, np.abs(s) ** 2), scenario)
+    p_d = p_fa_grid ** (1.0 / (1.0 + d2))
+    slope = p_d / ((1.0 + d2) * p_fa_grid)
+    var = p_d * (1.0 - p_d) + slope**2 * p_fa_grid * (1.0 - p_fa_grid)
     return MonteCarloRoc(
         trials=trials,
         thresholds=thresholds,
         p_fa=p_fa_hat,
         p_d=p_d_hat,
-        p_fa_stderr=se(p_fa_hat),
-        p_d_stderr=se(p_d_hat),
-        rng_seed=int(seed),
+        p_d_stderr=np.sqrt(var / trials),
     )

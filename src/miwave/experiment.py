@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("n_starts must be >= 1")
         object.__setattr__(self, "energy_list", tuple(float(e) for e in self.energy_list))
         object.__setattr__(self, "p_fa_grid", tuple(float(p) for p in self.p_fa_grid))
+        if not all(0 < p < 1 for p in self.p_fa_grid):
+            raise ValueError("p_fa_grid values must lie in (0, 1)")
         object.__setattr__(self, "noise_params", dict(self.noise_params))
         object.__setattr__(self, "clutter_params", dict(self.clutter_params))
 
@@ -141,21 +143,9 @@ def summarize_boxplot(d2_samples) -> dict:
 
 
 @dataclass(frozen=True)
-class EnergyRecord:
-    energy: float
-    lagrange_lambda: float
-    kappa: int
-    d2_mi: float
-    d2_lfm: float
-    lfm_sweep_bandwidth: float
-    d2_box: dict
-    best_beta: tuple
-    best_d2: float
-    best_objective: float
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
+    """``records`` holds one dict per energy, as written to ``summary.json``."""
+
     config: ExperimentConfig
     records: tuple
     out_dir: Path = field(repr=False)
@@ -217,17 +207,22 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
         kappa = support_halfwidth(target)
 
         beta_rms = rms_bandwidth(design.esd, energy)
-        lfm = match_rms_bandwidth(beta_rms, config.duration, energy, grid, clamp=True)
-        d2_lfm = detection_metric(lfm_esd(lfm, grid), scenario)
-
+        lfm = match_rms_bandwidth(beta_rms, config.duration, energy, grid)
+        record = {
+            "energy": energy,
+            "lambda": design.lagrange_lambda,
+            "kappa": kappa,
+            "d2_mi": d2_mi,
+            "d2_lfm": detection_metric(lfm_esd(lfm, grid), scenario),
+            "lfm_sweep_bandwidth": lfm.sweep_bandwidth,
+            "d2_box": {},
+            "best_beta": [],
+            "best_d2": float("nan"),
+            "best_objective": float("nan"),
+        }
+        records.append(record)
         if design_only:
             mtsfm_esds[energy] = design.esd.scaled(0.0)
-            records.append(
-                EnergyRecord(
-                    energy, design.lagrange_lambda, kappa, d2_mi, d2_lfm,
-                    lfm.sweep_bandwidth, {}, (), float("nan"), float("nan"),
-                )
-            )
             continue
 
         results = fit(
@@ -242,22 +237,13 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
         best = results[0]
         best_wave = MtsfmWaveform(config.duration, energy, best.beta)
         mtsfm_esds[energy] = esd_on_grid(best_wave, grid)
-        records.append(
-            EnergyRecord(
-                energy=energy,
-                lagrange_lambda=design.lagrange_lambda,
-                kappa=kappa,
-                d2_mi=d2_mi,
-                d2_lfm=d2_lfm,
-                lfm_sweep_bandwidth=lfm.sweep_bandwidth,
-                d2_box=summarize_boxplot([r.d_squared_achieved for r in results])
-                if len(results) >= 5
-                else {},
-                best_beta=best.beta,
-                best_d2=best.d_squared_achieved,
-                best_objective=best.objective,
+        if len(results) >= 5:
+            record["d2_box"] = summarize_boxplot(
+                [r.d_squared_achieved for r in results]
             )
-        )
+        record["best_beta"] = list(best.beta)
+        record["best_d2"] = best.d_squared_achieved
+        record["best_objective"] = best.objective
 
     emit_esd_table(
         out / "esd_table.csv", grid, scene.noise_psd, scene.channel_psd,
@@ -269,21 +255,7 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
             "seed": config.seed,
             "version": __version__,
         },
-        "records": [
-            {
-                "energy": r.energy,
-                "lambda": r.lagrange_lambda,
-                "kappa": r.kappa,
-                "d2_mi": r.d2_mi,
-                "d2_lfm": r.d2_lfm,
-                "lfm_sweep_bandwidth": r.lfm_sweep_bandwidth,
-                "d2_box": r.d2_box,
-                "best_beta": list(r.best_beta),
-                "best_d2": r.best_d2,
-                "best_objective": r.best_objective,
-            }
-            for r in records
-        ],
+        "records": records,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -295,9 +267,8 @@ def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
     """Monte Carlo ROC validation of the MI design at one energy; writes
     ``roc.csv`` with analytic and empirical detection probabilities.
 
-    The ``stderr`` column is the binomial standard error of the empirical
-    P_D alone; it leaves out the noise of the empirical H0-quantile
-    threshold, so it understates the spread of P_D (see
+    The ``stderr`` column is the standard error of the empirical P_D,
+    including the noise of its empirical H0-quantile threshold (see
     :class:`~miwave.detection.MonteCarloRoc`)."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

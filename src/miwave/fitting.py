@@ -77,8 +77,6 @@ class FitResult:
     objective: float
     constraint_value: float
     d_squared_achieved: float
-    init_beta: tuple
-    iterations: int
     converged: bool
     start_index: int
 
@@ -100,18 +98,16 @@ def solve_ofdm_coeffs(
     return OfdmTarget(c, grid.half_order, float(energy))
 
 
-def support_halfwidth(target: OfdmTarget, support_tol: float = SUPPORT_TOL) -> int:
-    """Smallest half-width kappa capturing (1 - tol) of the coefficient
-    energy around DC."""
-    if not 0 < support_tol <= 0.1:
-        raise ValueError("support_tol must lie in (0, 0.1]")
+def support_halfwidth(target: OfdmTarget) -> int:
+    """Smallest half-width kappa capturing (1 - SUPPORT_TOL) of the
+    coefficient energy around DC."""
     power = target.c**2
     total = power.sum()
     if total == 0:
         return 0
     h = target.half_order
     for kappa in range(h + 1):
-        if power[h - kappa : h + kappa + 1].sum() >= (1.0 - support_tol) * total:
+        if power[h - kappa : h + kappa + 1].sum() >= (1.0 - SUPPORT_TOL) * total:
             return kappa
     return h
 
@@ -237,8 +233,7 @@ def fit(
         return f_val, h @ grad
 
     def run_local(beta0):
-        """One bounded L-BFGS-B search; returns (beta, f, iterations,
-        success)."""
+        """One bounded L-BFGS-B search; returns (beta, f, success)."""
         res = minimize(
             reflected,
             h @ beta0,
@@ -248,20 +243,17 @@ def fit(
             tol=F_TOL,
             options={"maxiter": MAX_ITER, "gtol": G_TOL},
         )
-        # with every variable fixed (K = 1, kappa = 0) scipy reports no nit
-        return h @ res.x, float(res.fun), res.get("nit", 0), bool(res.success)
+        return h @ res.x, float(res.fun), bool(res.success)
 
     results: list[FitResult] = []
     for i in range(n_starts):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        beta0 = _draw_start(rng, k_harmonics, kappa, delta)
-        beta, f_val, nit, success = run_local(beta0)
-        for _ in range(LOCAL_SEARCHES - 1):
-            alt0 = _draw_start(rng, k_harmonics, kappa, delta)
-            alt, alt_f, alt_nit, alt_ok = run_local(alt0)
-            nit += alt_nit
-            if alt_f < f_val:
-                beta, f_val, success = alt, alt_f, alt_ok
+        # min keeps the earliest of equal objectives
+        searches = (
+            run_local(_draw_start(rng, k_harmonics, kappa, delta))
+            for _ in range(LOCAL_SEARCHES)
+        )
+        beta, f_val, success = min(searches, key=lambda found: found[1])
         d2 = float("nan")
         if scenario is not None:
             w = MtsfmWaveform(
@@ -275,8 +267,6 @@ def fit(
                 objective=f_val,
                 constraint_value=float(k_vec @ beta),
                 d_squared_achieved=d2,
-                init_beta=tuple(float(b) for b in beta0),
-                iterations=nit,
                 converged=success,
                 start_index=i,
             )

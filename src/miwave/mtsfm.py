@@ -28,7 +28,6 @@ __all__ = [
     "spectrum",
     "esd_on_grid",
     "rms_bandwidth",
-    "default_order_bound",
 ]
 
 #: tail energy above which a coefficient set is flagged as truncated
@@ -83,7 +82,6 @@ class CoefficientSet:
 
     coeffs: np.ndarray = field(repr=False)
     order_bound: int
-    energy_scale: float
 
     @property
     def orders(self) -> np.ndarray:
@@ -139,39 +137,24 @@ def max_instantaneous_freq(w: MtsfmWaveform) -> float:
     return w.index_weight / w.duration
 
 
-def time_series(
-    w: MtsfmWaveform,
-    sample_rate: float,
-    *,
-    oversample_guard: float = 2.0,
-    strict: bool = True,
-):
+def time_series(w: MtsfmWaveform, sample_rate: float):
     """Complex envelope samples on [-T/2, T/2) at a uniform rate.
 
-    Returns ``(t, samples)``. The rate must exceed ``oversample_guard``
-    times twice the instantaneous-frequency bound; below that a warning
-    is issued, or ValueError when ``strict``.
+    Returns ``(t, samples)``. The rate must be at least twice the Nyquist
+    rate of the instantaneous-frequency bound (or of 1/T, whichever is
+    larger); below that ValueError is raised.
     """
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
-    nyq_guard = oversample_guard * 2.0 * max(max_instantaneous_freq(w), 1.0 / w.duration)
+    nyq_guard = 4.0 * max(max_instantaneous_freq(w), 1.0 / w.duration)
     if sample_rate < nyq_guard:
-        msg = (
-            f"sample_rate {sample_rate:.3g} Hz below Nyquist guard "
-            f"{nyq_guard:.3g} Hz"
+        raise ValueError(
+            f"sample_rate {sample_rate:.3g} Hz below Nyquist guard {nyq_guard:.3g} Hz"
         )
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=2)
     n = max(int(round(sample_rate * w.duration)), 2)
     t = -w.duration / 2.0 + np.arange(n) * (w.duration / n)
     samples = np.sqrt(w.energy / w.duration) * np.exp(1j * phase(w, t))
     return t, samples
-
-
-def default_order_bound(w: MtsfmWaveform, guard: int = 16) -> int:
-    """Truncation order ceil(sum_k k*|beta_k|) plus a guard for skirts."""
-    return int(math.ceil(w.index_weight)) + guard
 
 
 def _fft_size(order_bound: int) -> int:
@@ -237,7 +220,7 @@ def coefficients(
         if order_bound < 1:
             raise ValueError("order_bound must be >= 1")
         c = raw_coefficients(beta, w.duration, order_bound)
-        cs = CoefficientSet(c, order_bound, w.energy)
+        cs = CoefficientSet(c, order_bound)
         if cs.tail_energy > tail_tol:
             warnings.warn(
                 f"coefficient tail energy {cs.tail_energy:.2e} exceeds "
@@ -249,7 +232,7 @@ def coefficients(
     base = int(math.ceil(w.index_weight))
     for _ in range(10):
         c = raw_coefficients(beta, w.duration, base + guard)
-        cs = CoefficientSet(c, base + guard, w.energy)
+        cs = CoefficientSet(c, base + guard)
         if cs.tail_energy <= tail_tol:
             return cs
         guard *= 2

@@ -20,7 +20,6 @@ __all__ = [
     "make_grid",
     "integrate",
     "build_parametric_psd",
-    "PSD_KINDS",
 ]
 
 
@@ -168,11 +167,6 @@ class Scenario:
     def grid(self) -> FrequencyGrid:
         return self.noise_psd.grid
 
-    @property
-    def zero_channel_bins(self) -> np.ndarray:
-        """Indices of bins where the channel PSD vanishes."""
-        return np.flatnonzero(self.channel_psd.values == 0)
-
     def with_energy(self, energy: float) -> "Scenario":
         """Same scene with a different transmit energy budget."""
         return Scenario(
@@ -257,13 +251,17 @@ def build_parametric_psd(
     ``kind`` is one of ``flat``, ``noise_valley``, ``clutter_peak``,
     ``clutter_notch`` or ``custom_table``; ``params`` are keyword
     arguments of the family (see the builder functions in this module).
-    Noise-type kinds must produce strictly positive samples.
+    Noise-type kinds must produce strictly positive samples. Parameters
+    the family does not take, or of the wrong type, raise ValueError.
     """
     try:
         builder = PSD_KINDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown PSD kind {kind!r}") from None
-    values = builder(grid.bin_freqs, grid.band_width, **(params or {}))
+    try:
+        values = builder(grid.bin_freqs, grid.band_width, **(params or {}))
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for PSD kind {kind!r}: {exc}") from None
     if kind == "noise_valley" and np.any(values <= 0):
         raise ValueError("noise PSD must be strictly positive")
     return SpectralDensity(grid, values)

@@ -242,11 +242,11 @@ def test_criterion_8_scene_study(tmp_path):
     notch = type(notch).from_dict({**notch.to_dict(), "out_dir": str(notch_dir)})
     report = run_experiment(notch)
     for rec in report.records:
-        if rec.energy <= 1.0:
+        if rec["energy"] <= 1.0:
             continue
-        d2 = _fit_d2_column(notch_dir / f"fit_E{rec.energy:.12g}.csv")
-        frac = float(np.mean(d2 > rec.d2_lfm))
-        details.append(f"notch E={rec.energy:g} frac={frac:.2f}")
+        d2 = _fit_d2_column(notch_dir / f"fit_E{rec['energy']:.12g}.csv")
+        frac = float(np.mean(d2 > rec["d2_lfm"]))
+        details.append(f"notch E={rec['energy']:g} frac={frac:.2f}")
         if frac < 0.95:
             ok = False
 
@@ -256,8 +256,8 @@ def test_criterion_8_scene_study(tmp_path):
     report_p = run_experiment(peak)
     adv = {}
     for rec in report_p.records:
-        d2 = _fit_d2_column(peak_dir / f"fit_E{rec.energy:.12g}.csv")
-        adv[rec.energy] = (float(np.median(d2)) - rec.d2_lfm) / rec.d2_lfm
+        d2 = _fit_d2_column(peak_dir / f"fit_E{rec['energy']:.12g}.csv")
+        adv[rec["energy"]] = (float(np.median(d2)) - rec["d2_lfm"]) / rec["d2_lfm"]
     e_lo, e_hi = min(adv), max(adv)
     details.append(f"peak adv E={e_lo:g}: {adv[e_lo]:.3f}, E={e_hi:g}: {adv[e_hi]:.3f}")
     if not adv[e_hi] < adv[e_lo]:

@@ -85,11 +85,8 @@ def test_zero_channel_error_and_floor(small_grid):
     sc = Scenario(noise, SpectralDensity(small_grid, vals), 1.0, 1.0)
     with pytest.raises(UnboundedAllocationError):
         design_mi(sc)
-    # the floor substitution keeps the allocation finite (if enormous)
-    with pytest.warns(UserWarning, match="floor"):
-        esd = esd_for_lambda(sc, 0.5, zero_channel_floor=True)
-    assert np.all(np.isfinite(esd.values))
-    assert np.argmax(esd.values) == small_grid.half_order
+    with pytest.raises(UnboundedAllocationError):
+        esd_for_lambda(sc, 0.5)
 
 
 def test_zero_channel_bin_inactive_at_solution(small_grid):

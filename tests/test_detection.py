@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from miwave import (
     Scenario,
     SpectralDensity,
     analytic_roc,
+    design_mi,
     detection_metric,
     make_grid,
     monte_carlo_roc,
-    np_statistic,
 )
+from miwave.experiment import load_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _flat_scenario(grid, noise_level=1.0, clutter_level=0.0, var_a=1.0, energy=1.0):
@@ -83,41 +87,6 @@ class TestAnalyticRoc:
             analytic_roc(-1.0, [0.1])
         with pytest.raises(ValueError):
             analytic_roc(1.0, [0.0])
-
-
-class TestNpStatistic:
-    def test_self_match_unit_denominator(self):
-        grid = make_grid(4.0, 1.0)
-        noise = SpectralDensity(grid, np.ones(grid.num_bins))
-        clutter = SpectralDensity(grid, np.zeros(grid.num_bins))
-        sc = Scenario(noise, clutter, 1.0, 1.0)
-        s = np.arange(1, grid.num_bins + 1, dtype=complex)
-        expect = float(np.sum(np.abs(s) ** 2)) ** 2
-        assert np_statistic(s, s, sc) == pytest.approx(expect, rel=1e-12)
-
-    def test_zero_observation(self):
-        grid = make_grid(4.0, 1.0)
-        sc = _flat_scenario(grid)
-        s = np.ones(grid.num_bins, dtype=complex)
-        assert np_statistic(np.zeros(grid.num_bins), s, sc) == 0.0
-
-    def test_matches_scalar_loop(self):
-        # independent reimplementation with plain Python complex arithmetic
-        grid = make_grid(6.0, 1.0)
-        rng = np.random.default_rng(17)
-        noise = SpectralDensity(grid, rng.uniform(0.5, 2.0, grid.num_bins))
-        clutter = SpectralDensity(grid, rng.uniform(0.0, 1.0, grid.num_bins))
-        sc = Scenario(noise, clutter, 1.0, 1.0)
-        x = rng.standard_normal(grid.num_bins) + 1j * rng.standard_normal(grid.num_bins)
-        s = rng.standard_normal(grid.num_bins) + 1j * rng.standard_normal(grid.num_bins)
-        acc = complex(0)
-        for m in range(grid.num_bins):
-            denom = (
-                sc.channel_psd.values[m] * abs(complex(s[m])) ** 2
-                + sc.noise_psd.values[m]
-            )
-            acc = acc + complex(x[m]) * complex(s[m]).conjugate() / denom
-        assert np_statistic(x, s, sc) == abs(acc) ** 2
 
 
 def _full_array_roc(s, scenario, trials, seed, p_fa_grid):
@@ -246,3 +215,19 @@ class TestMonteCarlo:
         for (p_fa, p_d), p_hat in zip(analytic_roc(d2, (0.01, 0.1)), mc.p_d):
             se = np.sqrt(p_d * (1 - p_d) / mc.trials)
             assert abs(p_hat - p_d) <= 3 * se
+
+    def test_stderr_matches_spread_over_seeds(self):
+        # the threshold is an empirical quantile; at p_fa = 0.01 on this
+        # scene the binomial term alone gives a spread of about 1.4
+        sc = load_config(CONFIG_DIR / "clutter_notch.yaml").scenario(2.0)
+        assert sc.grid.num_bins == 21
+        esd = design_mi(sc).esd
+        p_fa_grid = (0.01, 0.1)
+        d2 = detection_metric(esd, sc)
+        p_d = np.array([p for _, p in analytic_roc(d2, p_fa_grid)])
+        z = []
+        for seed in range(200):
+            mc = monte_carlo_roc(np.sqrt(esd.values), sc, 2000, seed, p_fa_grid)
+            z.append((mc.p_d - p_d) / mc.p_d_stderr)
+        spread = np.std(z, axis=0)
+        assert np.all((0.8 <= spread) & (spread <= 1.2)), spread

@@ -1,14 +1,16 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import miwave.experiment
 from miwave import design_mi, detection_metric
-from miwave.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from miwave.errors import InfeasibleError
+from miwave.cli import EXIT_CONFIG, EXIT_OK, main
 from miwave.experiment import (
     ExperimentConfig,
     load_config,
@@ -69,6 +71,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             smoke_config(tmp_path, **{field: value})
 
+    @pytest.mark.parametrize(
+        "p_fa_grid", [(0.1, 1.0), (0.0, 0.1), (-0.1,), (float("nan"),)]
+    )
+    def test_rejects_p_fa_outside_unit_interval(self, tmp_path, p_fa_grid):
+        with pytest.raises(ValueError, match="p_fa_grid"):
+            smoke_config(tmp_path, p_fa_grid=p_fa_grid)
+
     def test_integer_counts_stored_as_int(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=np.int64(3000), seed=np.int32(4))
         assert type(cfg.trials) is int and cfg.trials == 3000
@@ -115,8 +124,8 @@ class TestRunExperiment:
         for rec, e in zip(report.records, cfg.energy_list):
             sc = cfg.scenario(e)
             d2_star = detection_metric(design_mi(sc).esd, sc)
-            assert rec.d2_mi == pytest.approx(d2_star, rel=1e-9)
-            assert rec.best_d2 <= d2_star + 1e-9
+            assert rec["d2_mi"] == pytest.approx(d2_star, rel=1e-9)
+            assert rec["best_d2"] <= d2_star + 1e-9
 
     def test_esd_table_shape(self, tmp_path):
         cfg = smoke_config(tmp_path / "out")
@@ -216,6 +225,26 @@ class TestCli:
         assert main(["roc", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["design", "roc"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"clutter_params": {"level": 1.0, "notch_depth": 0.9, "bogus": 1}},
+            {"noise_params": {"n_min": "abc"}},
+        ],
+    )
+    def test_bad_psd_params_are_config_errors(self, tmp_path, capsys, command, params):
+        cfg, path = self._write_cfg(tmp_path, **params)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["design", "fit", "roc"])
+    def test_p_fa_grid_at_one_is_config_error(self, tmp_path, capsys, command):
+        cfg, path = self._write_cfg(tmp_path)
+        path.write_text(yaml.safe_dump({**cfg.to_dict(), "p_fa_grid": [0.1, 1.0]}))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "p_fa_grid" in capsys.readouterr().err
+
     def test_unbounded_scenario_is_config_error(self, tmp_path, capsys):
         # a clutter notch of depth 1.0 zeroes P_h where the design wants
         # energy; the scenario itself is invalid, so this is a config error
@@ -230,7 +259,7 @@ class TestCli:
     ):
         # an error type whose constructor takes more than a message must
         # reach the caller as itself, with the scenario and energy added
-        class CodedError(InfeasibleError):
+        class CodedError(ValueError):
             def __init__(self, code, detail):
                 super().__init__(f"code {code}: {detail}")
                 self.code = code
@@ -244,7 +273,7 @@ class TestCli:
             run_experiment(cfg, design_only=True)
         assert info.value.code == 7
         assert info.value.__notes__ == ["(scenario clutter_notch, E=0.5)"]
-        assert main(["design", "--config", str(path)]) == EXIT_NUMERICAL
+        assert main(["design", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "code 7: no design (scenario clutter_notch, E=0.5)" in err
 
@@ -261,3 +290,49 @@ class TestCli:
         hash_a = a["provenance"]["config_hash"]
         hash_b = b["provenance"]["config_hash"]
         assert hash_a != hash_b
+
+
+_PSD_KINDS = st.one_of(
+    st.sampled_from(
+        ["flat", "noise_valley", "clutter_peak", "clutter_notch", "custom_table"]
+    ),
+    st.sampled_from(["bogus", None, ["flat"]]),
+)
+_PSD_PARAMS = st.dictionaries(
+    st.sampled_from(
+        ["level", "n_min", "n_max", "floor", "notch_depth", "peak_width",
+         "freqs", "values", "bogus", "x"]
+    ),
+    st.one_of(
+        st.none(),
+        st.text(alphabet="ab1e.-", max_size=4),
+        st.floats(-2.0, 2.0),
+        st.lists(st.floats(-2.0, 2.0), max_size=3),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    noise_kind=_PSD_KINDS,
+    noise_params=_PSD_PARAMS,
+    clutter_kind=_PSD_KINDS,
+    clutter_params=_PSD_PARAMS,
+)
+def test_malformed_psd_params_exit_cleanly(
+    noise_kind, noise_params, clutter_kind, clutter_params
+):
+    # unknown kinds, and unknown keys, strings and None in the PSD
+    # parameters, are config errors (exit 2), never an uncaught exception
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = smoke_config(Path(tmp) / "out").to_dict()
+        cfg.update(
+            noise_kind=noise_kind,
+            noise_params=noise_params,
+            clutter_kind=clutter_kind,
+            clutter_params=clutter_params,
+        )
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["design", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG)

@@ -89,10 +89,6 @@ class TestSupportHalfwidth:
         )
         assert kappa == want
 
-    def test_tol_domain(self):
-        with pytest.raises(ValueError):
-            support_halfwidth(self._delta_target(3, 0), support_tol=0.5)
-
 
 class TestObjective:
     def test_exact_match_is_zero(self):

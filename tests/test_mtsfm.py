@@ -13,7 +13,7 @@ from miwave import (
     time_series,
 )
 from miwave import mtsfm
-from miwave.mtsfm import default_order_bound, max_instantaneous_freq, modulation, phase
+from miwave.mtsfm import max_instantaneous_freq, modulation, phase
 
 
 class TestPhaseAndModulation:
@@ -82,8 +82,6 @@ class TestTimeSeries:
         w = MtsfmWaveform(1.0, 1.0, (5.0, 5.0))
         with pytest.raises(ValueError, match="Nyquist"):
             time_series(w, 8.0)
-        with pytest.warns(UserWarning):
-            time_series(w, 8.0, strict=False)
 
 
 class TestCoefficients:
@@ -163,7 +161,7 @@ class TestCoefficients:
 
     def test_default_bound_scales_with_index_weight(self):
         w = MtsfmWaveform(1.0, 1.0, (4.0, 2.0))
-        assert default_order_bound(w) == 8 + 16
+        assert coefficients(w).order_bound == 8 + 16
 
 
 class TestSpectrum:

@@ -83,13 +83,6 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(noise, ok, 1.0, 1.0)
 
-    def test_zero_channel_bins_flagged(self, small_grid):
-        vals = np.ones(small_grid.num_bins)
-        vals[[0, 4]] = 0.0
-        noise = SpectralDensity(small_grid, np.ones(small_grid.num_bins))
-        sc = Scenario(noise, SpectralDensity(small_grid, vals), 1.0, 1.0)
-        np.testing.assert_array_equal(sc.zero_channel_bins, [0, 4])
-
     def test_with_energy(self, notch_scenario):
         sc = notch_scenario.with_energy(5.0)
         assert sc.energy == 5.0
