@@ -7,7 +7,9 @@ Subcommands:
   report  summarize a fit CSV into quartile statistics
 
 Exit codes: 0 success, 2 config error (including a scene whose design
-would put unbounded energy on a zero-channel bin). An RMS-bandwidth
+would put unbounded energy on a zero-channel bin, a non-numeric or
+non-finite scene field, and an output directory that cannot be
+written). A config or design error writes nothing. An RMS-bandwidth
 target the LFM comparator cannot reach is not an error: the comparator
 clamps to a full-band sweep with a warning.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -71,9 +74,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         updates["n_starts"] = args.starts
     if getattr(args, "trials", None) is not None:
         updates["trials"] = args.trials
-    if not updates:
-        return config
-    return ExperimentConfig.from_dict({**config.to_dict(), **updates})
+    return dataclasses.replace(config, **updates)
 
 
 def _report(fit_csv: str) -> None:
@@ -117,15 +118,15 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "design":
-            report = run_experiment(config, design_only=True)
+            run_experiment(config, design_only=True)
             print(f"wrote {Path(config.out_dir) / 'esd_table.csv'}")
         elif args.command == "fit":
-            report = run_experiment(config)
+            run_experiment(config)
             print(f"wrote {Path(config.out_dir) / 'summary.json'}")
         elif args.command == "roc":
             path = run_roc(config, getattr(args, "energy", None))
             print(f"wrote {path}")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

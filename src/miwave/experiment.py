@@ -14,7 +14,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,6 @@ from .spectral import Scenario, as_int, build_parametric_psd, integrate, make_gr
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentReport",
     "load_config",
     "save_config",
     "run_experiment",
@@ -44,6 +45,15 @@ _FMT = ".12g"  # fixed float formatting for reproducible output files
 
 def _f(x: float) -> str:
     return format(float(x), _FMT)
+
+
+def _finite_real(name: str, value):
+    """``value`` unchanged; ``ValueError`` unless a finite non-bool real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,11 +79,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("k_harmonics", "n_starts", "seed", "trials"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if not self.energy_list or any(e <= 0 for e in self.energy_list):
+        # stored unchanged, so integer-valued YAML keeps its content hash
+        for name in ("band_width", "duration", "target_variance", "delta"):
+            _finite_real(name, getattr(self, name))
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        energies = tuple(float(_finite_real("energy_list", e)) for e in self.energy_list)
+        if not energies or any(e <= 0 for e in energies):
             raise ValueError("energy_list must be nonempty with positive values")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        object.__setattr__(self, "energy_list", tuple(float(e) for e in self.energy_list))
+        object.__setattr__(self, "energy_list", energies)
         object.__setattr__(self, "p_fa_grid", tuple(float(p) for p in self.p_fa_grid))
         if not all(0 < p < 1 for p in self.p_fa_grid):
             raise ValueError("p_fa_grid values must lie in (0, 1)")
@@ -98,11 +114,6 @@ class ExperimentConfig:
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        d = dict(d)
-        if "energy_list" in d:
-            d["energy_list"] = tuple(d["energy_list"])
-        if "p_fa_grid" in d:
-            d["p_fa_grid"] = tuple(d["p_fa_grid"])
         return cls(**d)
 
     def content_hash(self) -> str:
@@ -124,10 +135,11 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
 
 
 def summarize_boxplot(d2_samples) -> dict:
-    """Five-number summary plus 1.5*IQR outliers (type-7 quartiles)."""
+    """Five-number summary plus 1.5*IQR outliers (type-7 quartiles,
+    defined for any nonempty sample)."""
     x = np.asarray(d2_samples, dtype=float)
-    if x.size < 5:
-        raise ValueError("need at least 5 samples for a box summary")
+    if x.size == 0:
+        raise ValueError("need at least one sample for a box summary")
     q1, med, q3 = np.percentile(x, [25, 50, 75])
     iqr = q3 - q1
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
@@ -142,15 +154,6 @@ def summarize_boxplot(d2_samples) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    """``records`` holds one dict per energy, as written to ``summary.json``."""
-
-    config: ExperimentConfig
-    records: tuple
-    out_dir: Path = field(repr=False)
-
-
 def _write_fit_csv(path: Path, results) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("start_index,objective,constraint_value,d_squared,converged\n")
@@ -162,36 +165,40 @@ def _write_fit_csv(path: Path, results) -> None:
 
 
 def emit_esd_table(path: str | Path, grid, noise, clutter, mi_esds, mtsfm_esds) -> None:
-    """CSV of the scene PSDs and the per-energy design/fit ESDs.
+    """CSV of the scene PSDs, the per-energy design ESDs and the MTSFM
+    ESDs of the fitted energies.
 
     ``mi_esds`` and ``mtsfm_esds`` map energy -> SpectralDensity.
     """
     energies = sorted(mi_esds)
+    fitted = sorted(mtsfm_esds)
     header = ["f", "P_n", "P_h"]
     header += [f"E_s_E{_f(e)}" for e in energies]
-    header += [f"mtsfm_esd_E{_f(e)}" for e in energies]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    header += [f"mtsfm_esd_E{_f(e)}" for e in fitted]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i, f_hz in enumerate(grid.bin_freqs):
             row = [_f(f_hz), _f(noise.values[i]), _f(clutter.values[i])]
             row += [_f(mi_esds[e].values[i]) for e in energies]
-            row += [_f(mtsfm_esds[e].values[i]) for e in energies]
+            row += [_f(mtsfm_esds[e].values[i]) for e in fitted]
             fh.write(",".join(row) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> ExperimentReport:
-    """Execute the pipeline for every energy in the sweep and write
-    ``esd_table.csv``, per-energy ``fit_E*.csv``, and ``summary.json``."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tuple:
+    """Execute the pipeline for every energy in the sweep, then write
+    ``esd_table.csv``, ``summary.json`` and, after a fit, ``fit_E*.csv``.
+
+    Returns one record dict per energy, as written to ``summary.json``;
+    only a fit adds ``d2_box``, ``best_beta``, ``best_d2`` and
+    ``best_objective``. Nothing is written unless every energy runs.
+    """
     scene = config.scenario(config.energy_list[0])
     grid = scene.grid
 
     records = []
     mi_esds: dict = {}
     mtsfm_esds: dict = {}
+    fits: dict = {}
     for energy in config.energy_list:
         scenario = scene.with_energy(energy)
         try:
@@ -215,14 +222,9 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
             "d2_mi": d2_mi,
             "d2_lfm": detection_metric(lfm_esd(lfm, grid), scenario),
             "lfm_sweep_bandwidth": lfm.sweep_bandwidth,
-            "d2_box": {},
-            "best_beta": [],
-            "best_d2": float("nan"),
-            "best_objective": float("nan"),
         }
         records.append(record)
         if design_only:
-            mtsfm_esds[energy] = design.esd.scaled(0.0)
             continue
 
         results = fit(
@@ -233,18 +235,19 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
             config.seed,
             scenario=scenario,
         )
-        _write_fit_csv(out / f"fit_E{_f(energy)}.csv", results)
+        fits[energy] = results
         best = results[0]
         best_wave = MtsfmWaveform(config.duration, energy, best.beta)
         mtsfm_esds[energy] = esd_on_grid(best_wave, grid)
-        if len(results) >= 5:
-            record["d2_box"] = summarize_boxplot(
-                [r.d_squared_achieved for r in results]
-            )
+        record["d2_box"] = summarize_boxplot([r.d_squared_achieved for r in results])
         record["best_beta"] = list(best.beta)
         record["best_d2"] = best.d_squared_achieved
         record["best_objective"] = best.objective
 
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for energy, results in fits.items():
+        _write_fit_csv(out / f"fit_E{_f(energy)}.csv", results)
     emit_esd_table(
         out / "esd_table.csv", grid, scene.noise_psd, scene.channel_psd,
         mi_esds, mtsfm_esds,
@@ -260,7 +263,7 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> Ex
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return ExperimentReport(config, tuple(records), out)
+    return tuple(records)
 
 
 def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
@@ -269,9 +272,8 @@ def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
 
     The ``stderr`` column is the standard error of the empirical P_D,
     including the noise of its empirical H0-quantile threshold (see
-    :class:`~miwave.detection.MonteCarloRoc`)."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    :class:`~miwave.detection.MonteCarloRoc`). ``out_dir`` is created
+    only after the Monte Carlo has run."""
     energy = float(energy if energy is not None else config.energy_list[0])
     scenario = config.scenario(energy)
     design = design_mi(scenario)
@@ -281,6 +283,8 @@ def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
         s_bins, scenario, config.trials, config.seed, config.p_fa_grid
     )
     pairs = analytic_roc(d2, config.p_fa_grid)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "roc.csv"
     with open(path, "w", newline="") as fh:
         fh.write("p_fa,p_d_analytic,p_d_empirical,stderr\n")

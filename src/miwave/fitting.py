@@ -66,10 +66,6 @@ class OfdmTarget:
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
 
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.half_order, self.half_order + 1)
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -103,8 +99,6 @@ def support_halfwidth(target: OfdmTarget) -> int:
     coefficient energy around DC."""
     power = target.c**2
     total = power.sum()
-    if total == 0:
-        return 0
     h = target.half_order
     for kappa in range(h + 1):
         if power[h - kappa : h + kappa + 1].sum() >= (1.0 - SUPPORT_TOL) * total:

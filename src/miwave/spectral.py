@@ -129,9 +129,6 @@ class SpectralDensity:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def scaled(self, factor: float) -> "SpectralDensity":
-        return SpectralDensity(self.grid, self.values * factor)
-
 
 def integrate(sd: SpectralDensity) -> float:
     """Riemann integral of the density: sum of values times 1/T."""
@@ -251,8 +248,8 @@ def build_parametric_psd(
     ``kind`` is one of ``flat``, ``noise_valley``, ``clutter_peak``,
     ``clutter_notch`` or ``custom_table``; ``params`` are keyword
     arguments of the family (see the builder functions in this module).
-    Noise-type kinds must produce strictly positive samples. Parameters
-    the family does not take, or of the wrong type, raise ValueError.
+    Parameters the family does not take, or of the wrong type, raise
+    ValueError.
     """
     try:
         builder = PSD_KINDS[kind]
@@ -262,6 +259,4 @@ def build_parametric_psd(
         values = builder(grid.bin_freqs, grid.band_width, **(params or {}))
     except TypeError as exc:
         raise ValueError(f"bad parameters for PSD kind {kind!r}: {exc}") from None
-    if kind == "noise_valley" and np.any(values <= 0):
-        raise ValueError("noise PSD must be strictly positive")
     return SpectralDensity(grid, values)

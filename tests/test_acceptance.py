@@ -240,8 +240,7 @@ def test_criterion_8_scene_study(tmp_path):
     notch = load_config(CONFIG_DIR / "clutter_notch.yaml")
     notch_dir = tmp_path / "notch"
     notch = type(notch).from_dict({**notch.to_dict(), "out_dir": str(notch_dir)})
-    report = run_experiment(notch)
-    for rec in report.records:
+    for rec in run_experiment(notch):
         if rec["energy"] <= 1.0:
             continue
         d2 = _fit_d2_column(notch_dir / f"fit_E{rec['energy']:.12g}.csv")
@@ -253,9 +252,8 @@ def test_criterion_8_scene_study(tmp_path):
     peak = load_config(CONFIG_DIR / "clutter_peak.yaml")
     peak_dir = tmp_path / "peak"
     peak = type(peak).from_dict({**peak.to_dict(), "out_dir": str(peak_dir)})
-    report_p = run_experiment(peak)
     adv = {}
-    for rec in report_p.records:
+    for rec in run_experiment(peak):
         d2 = _fit_d2_column(peak_dir / f"fit_E{rec['energy']:.12g}.csv")
         adv[rec["energy"]] = (float(np.median(d2)) - rec["d2_lfm"]) / rec["d2_lfm"]
     e_lo, e_hi = min(adv), max(adv)

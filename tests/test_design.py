@@ -68,8 +68,8 @@ def test_scale_covariance(notch_scenario):
     # scaling both PSDs by c leaves the ESD unchanged at fixed E
     c = 3.7
     scaled = Scenario(
-        notch_scenario.noise_psd.scaled(c),
-        notch_scenario.channel_psd.scaled(c),
+        SpectralDensity(notch_scenario.grid, c * notch_scenario.noise_psd.values),
+        SpectralDensity(notch_scenario.grid, c * notch_scenario.channel_psd.values),
         notch_scenario.target_variance,
         notch_scenario.energy,
     )

@@ -21,6 +21,15 @@ from miwave.experiment import (
 )
 
 
+_DESIGN_KEYS = frozenset(
+    ["energy", "lambda", "kappa", "d2_mi", "d2_lfm", "lfm_sweep_bandwidth"]
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def smoke_config(out_dir, **overrides):
     base = dict(
         noise_kind="noise_valley",
@@ -106,22 +115,27 @@ class TestBoxplot:
         box = summarize_boxplot([1, 2, 3, 4, 100])
         assert box["outliers"] == [100.0]
 
+    def test_three_samples(self):
+        box = summarize_boxplot([3, 1, 2])
+        assert (box["q1"], box["median"], box["q3"]) == (1.5, 2.0, 2.5)
+        assert box["min"] == 1 and box["max"] == 3
+
     def test_too_few(self):
         with pytest.raises(ValueError):
-            summarize_boxplot([1, 2, 3])
+            summarize_boxplot([])
 
 
 class TestRunExperiment:
     def test_smoke_pipeline(self, tmp_path):
         cfg = smoke_config(tmp_path / "out")
-        report = run_experiment(cfg)
+        records = run_experiment(cfg)
         out = Path(cfg.out_dir)
         assert (out / "esd_table.csv").exists()
         assert (out / "summary.json").exists()
         for e in cfg.energy_list:
             assert (out / f"fit_E{e:.12g}.csv").exists()
         # every MTSFM d^2 stays below the MI bound
-        for rec, e in zip(report.records, cfg.energy_list):
+        for rec, e in zip(records, cfg.energy_list):
             sc = cfg.scenario(e)
             d2_star = detection_metric(design_mi(sc).esd, sc)
             assert rec["d2_mi"] == pytest.approx(d2_star, rel=1e-9)
@@ -134,16 +148,23 @@ class TestRunExperiment:
         header = lines[0].split(",")
         grid_bins = cfg.scenario(1.0).grid.num_bins
         assert len(lines) == grid_bins + 1
-        assert header[:3] == ["f", "P_n", "P_h"]
-        for e in cfg.energy_list:
-            assert f"E_s_E{e:.12g}" in header
+        assert header == ["f", "P_n", "P_h"] + [
+            f"E_s_E{e:.12g}" for e in cfg.energy_list
+        ]
 
     def test_summary_provenance(self, tmp_path):
         cfg = smoke_config(tmp_path / "out")
-        run_experiment(cfg, design_only=True)
-        summary = json.loads((Path(cfg.out_dir) / "summary.json").read_text())
+        records = run_experiment(cfg, design_only=True)
+        text = (Path(cfg.out_dir) / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=_reject_constant)
         assert summary["provenance"]["config_hash"] == cfg.content_hash()
         assert summary["provenance"]["seed"] == cfg.seed
+        # a design run carries the design keys only
+        assert summary["records"] == list(records)
+        assert {frozenset(r) for r in records} == {_DESIGN_KEYS}
+        assert sorted(p.name for p in Path(cfg.out_dir).iterdir()) == [
+            "esd_table.csv", "summary.json"
+        ]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_a = smoke_config(tmp_path / "a")
@@ -189,6 +210,13 @@ class TestCli:
         assert code == EXIT_OK
         fit_csv = alt_out / "fit_E0.5.csv"
         assert len(fit_csv.read_text().splitlines()) == 1 + 3
+        # fewer than 5 starts still get a box summary, in the run and in report
+        text = (alt_out / "summary.json").read_text()
+        for rec in json.loads(text, parse_constant=_reject_constant)["records"]:
+            assert set(rec["d2_box"]) == {"min", "q1", "median", "q3", "max", "outliers"}
+        capsys.readouterr()
+        assert main(["report", str(fit_csv)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_starts"] == 3
 
     def test_roc_subcommand(self, tmp_path):
         cfg, path = self._write_cfg(tmp_path)
@@ -237,6 +265,41 @@ class TestCli:
         cfg, path = self._write_cfg(tmp_path, **params)
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert not Path(cfg.out_dir).exists()
+
+    @pytest.mark.parametrize(
+        "command, key, literal",
+        [
+            ("design", "band_width", "abc"),
+            ("fit", "delta", "abc"),
+            ("design", "duration", "1e-9"),  # YAML reads this as a string
+            ("design", "band_width", ".inf"),
+            ("design", "duration", ".inf"),
+            ("design", "out_dir", "5"),
+            ("design", "target_variance", ".nan"),
+            ("design", "energy_list", "[.nan]"),
+        ],
+    )
+    def test_bad_scene_fields_are_config_errors(
+        self, tmp_path, capsys, monkeypatch, command, key, literal
+    ):
+        monkeypatch.chdir(tmp_path)
+        d = smoke_config("out").to_dict()
+        del d[key]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(d) + f"{key}: {literal}\n")
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        cfg, path = self._write_cfg(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert blocker.is_file()
 
     @pytest.mark.parametrize("command", ["design", "fit", "roc"])
     def test_p_fa_grid_at_one_is_config_error(self, tmp_path, capsys, command):
@@ -253,6 +316,7 @@ class TestCli:
             clutter_params={"level": 1.0, "notch_depth": 1.0, "notch_width": 2.0},
         )
         assert main(["design", "--config", str(path)]) == EXIT_CONFIG
+        assert not Path(cfg.out_dir).exists()
 
     def test_design_error_keeps_type_and_names_scene(
         self, tmp_path, capsys, monkeypatch
@@ -336,3 +400,58 @@ def test_malformed_psd_params_exit_cleanly(
         path = Path(tmp) / "cfg.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert main(["design", "--config", str(path)]) in (EXIT_OK, EXIT_CONFIG)
+
+
+_ZERO_CHANNEL_CLUTTER = st.one_of(
+    st.builds(
+        lambda width: ("clutter_notch",
+                       {"level": 1.0, "notch_depth": 1.0, "notch_width": width}),
+        st.floats(0.1, 5.0),
+    ),
+    st.builds(
+        lambda values, zero_at: (
+            "custom_table",
+            {
+                "freqs": [-1e3 + 2e3 * i / (len(values) - 1) for i in range(len(values))],
+                "values": values[:zero_at] + [0.0] + values[zero_at + 1:],
+            },
+        ),
+        st.lists(st.floats(0.0, 2.0), min_size=3, max_size=6),
+        st.integers(0, 2),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    log_energies=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+    duration=st.sampled_from([0.5, 1.0, 2.0]),
+    wt=st.floats(2.0, 500.0),
+    clutter=_ZERO_CHANNEL_CLUTTER,
+)
+def test_design_fuzz_finite_or_config_error(log_energies, duration, wt, clutter):
+    # E log-uniform in [1e-4, 1e4], W*T in [2, 500] and clutter with
+    # zero-channel bins: either every output is finite, or exit 2 and
+    # nothing is written
+    clutter_kind, clutter_params = clutter
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = smoke_config(
+            out,
+            band_width=wt / duration,
+            duration=duration,
+            energy_list=tuple(10.0**x for x in log_energies),
+            clutter_kind=clutter_kind,
+            clutter_params=clutter_params,
+        )
+        path = Path(tmp) / "cfg.yaml"
+        save_config(cfg, path)
+        code = main(["design", "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            assert not out.exists()
+            return
+        json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+        lines = (out / "esd_table.csv").read_text().splitlines()
+        cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.all(np.isfinite(cells))
