@@ -27,7 +27,7 @@ from .baselines import match_rms_bandwidth, lfm_esd
 from .design import design_mi
 from .detection import analytic_roc, detection_metric, monte_carlo_roc
 from .fitting import fit, solve_ofdm_coeffs, support_halfwidth
-from .mtsfm import MtsfmWaveform, coefficients, esd_on_grid, rms_bandwidth
+from .mtsfm import MtsfmWaveform, esd_on_grid, rms_bandwidth
 from .spectral import Scenario, as_int, build_parametric_psd, integrate, make_grid
 
 __all__ = [
@@ -156,11 +156,14 @@ def summarize_boxplot(d2_samples) -> dict:
 
 def _write_fit_csv(path: Path, results) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("start_index,objective,constraint_value,d_squared,converged\n")
+        fh.write(
+            "start_index,objective,constraint_value,d_squared,converged,"
+            "optimizer_status\n"
+        )
         for r in results:
             fh.write(
                 f"{r.start_index},{_f(r.objective)},{_f(r.constraint_value)},"
-                f"{_f(r.d_squared_achieved)},{int(r.converged)}\n"
+                f"{_f(r.d_squared_achieved)},{int(r.converged)},{r.status}\n"
             )
 
 

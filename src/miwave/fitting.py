@@ -74,6 +74,7 @@ class FitResult:
     constraint_value: float
     d_squared_achieved: float
     converged: bool
+    status: str
     start_index: int
 
 
@@ -110,8 +111,8 @@ def _target_power(target: OfdmTarget, order_bound: int) -> np.ndarray:
     """c_m^2 on m in [-order_bound, order_bound], zero-padded."""
     t = np.zeros(2 * order_bound + 1)
     lo = min(order_bound, target.half_order)
-    m = np.arange(-lo, lo + 1)
-    t[m + order_bound] = target.c[m + target.half_order] ** 2
+    h = target.half_order
+    t[order_bound - lo : order_bound + lo + 1] = target.c[h - lo : h + lo + 1] ** 2
     return t
 
 
@@ -201,7 +202,9 @@ def fit(
     minima; each start therefore runs ``LOCAL_SEARCHES`` independent
     local searches from fresh feasible draws of its own stream and keeps
     the lowest objective. Every search stays inside the support slab, so
-    ``converged`` is L-BFGS-B's own success flag. When a ``scenario`` is
+    ``converged`` is L-BFGS-B's own success flag and ``status`` its
+    termination message, which starts with ``CONVERGENCE:`` exactly when
+    ``converged`` is true. When a ``scenario`` is
     supplied each result's detection metric is evaluated on the scenario
     grid and the list is sorted by it, best first; otherwise by objective
     value.
@@ -227,7 +230,7 @@ def fit(
         return f_val, h @ grad
 
     def run_local(beta0):
-        """One bounded L-BFGS-B search; returns (beta, f, success)."""
+        """One bounded L-BFGS-B search; returns (beta, f, success, message)."""
         res = minimize(
             reflected,
             h @ beta0,
@@ -237,7 +240,7 @@ def fit(
             tol=F_TOL,
             options={"maxiter": MAX_ITER, "gtol": G_TOL},
         )
-        return h @ res.x, float(res.fun), bool(res.success)
+        return h @ res.x, float(res.fun), bool(res.success), str(res.message)
 
     results: list[FitResult] = []
     for i in range(n_starts):
@@ -247,7 +250,7 @@ def fit(
             run_local(_draw_start(rng, k_harmonics, kappa, delta))
             for _ in range(LOCAL_SEARCHES)
         )
-        beta, f_val, success = min(searches, key=lambda found: found[1])
+        beta, f_val, success, status = min(searches, key=lambda found: found[1])
         d2 = float("nan")
         if scenario is not None:
             w = MtsfmWaveform(
@@ -262,6 +265,7 @@ def fit(
                 constraint_value=float(k_vec @ beta),
                 d_squared_achieved=d2,
                 converged=success,
+                status=status,
                 start_index=i,
             )
         )

@@ -115,7 +115,7 @@ def phase(w: MtsfmWaveform, t) -> np.ndarray | float:
     t_arr = np.asarray(t, dtype=float)
     _check_support(w, t_arr)
     cos_kt = _harmonic_cosines(t_arr, w.num_harmonics, w.duration)
-    out = -np.sum(np.array(w.mod_indices) * cos_kt, axis=-1)
+    out = -(cos_kt @ np.array(w.mod_indices))
     return out if out.ndim else float(out)
 
 
@@ -158,7 +158,17 @@ def time_series(w: MtsfmWaveform, sample_rate: float):
 
 
 def _fft_size(order_bound: int) -> int:
-    return 1 << max(int(math.ceil(math.log2(8 * (2 * order_bound + 1)))), 6)
+    """Smallest power of two n >= 2*(2B+1), at least 64, for order bound B.
+
+    The n-point trapezoid rule on a smooth periodic integrand errs only
+    by aliasing: it returns c_m + sum_{j != 0} c_{m+j*n} (Trefethen and
+    Weideman, SIAM Review 2014). With n >= 4B+2, every alias of an order
+    |m| <= B comes from an order |m + j*n| >= n - B >= 3B+2. Callers put
+    B at least 16 orders past the index weight sum_k k*|beta_k|, beyond
+    which the coefficients decay like Bessel values, so those aliases are
+    at rounding level.
+    """
+    return max(1 << (2 * (2 * order_bound + 1) - 1).bit_length(), 64)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -189,14 +199,16 @@ def raw_coefficients(
     beta: np.ndarray, duration: float, order_bound: int
 ) -> np.ndarray:
     """Fourier coefficients c_m, |m| <= order_bound, of exp(j*phi(t)) by
-    dense FFT quadrature of the phase on cached nodes.
+    FFT quadrature of the phase on the cached nodes of :func:`_fft_size`.
 
-    The kernel behind :func:`coefficients` and the spectral-fit
+    The phase sum is the same ``table @ beta`` as in :func:`phase`, so
+    the result is bit-for-bit the FFT of the public phase on those
+    nodes. The kernel behind :func:`coefficients` and the spectral-fit
     objective: ``beta`` must be a finite float array of length K >= 1,
     since nothing here validates it.
     """
     n = _fft_size(order_bound)
-    phi = -np.sum(beta * _phase_table(duration, beta.size, n), axis=-1)
+    phi = -(_phase_table(duration, beta.size, n) @ beta)
     f = np.fft.fft(np.exp(1j * phi)) / n
     fold, ramp = _order_fold(order_bound)
     return f[fold] * ramp

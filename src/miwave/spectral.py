@@ -155,10 +155,13 @@ class Scenario:
             raise ValueError("noise and channel PSDs must share a grid")
         if np.any(self.noise_psd.values <= 0):
             raise ValueError("noise PSD must be strictly positive")
-        if self.energy <= 0:
-            raise ValueError("energy must be positive")
-        if self.target_variance < 0:
-            raise ValueError("target_variance must be nonnegative")
+        if not (math.isfinite(self.energy) and self.energy > 0):
+            raise ValueError(f"energy must be finite and positive, got {self.energy!r}")
+        if not (math.isfinite(self.target_variance) and self.target_variance >= 0):
+            raise ValueError(
+                "target_variance must be finite and nonnegative, "
+                f"got {self.target_variance!r}"
+            )
 
     @property
     def grid(self) -> FrequencyGrid:

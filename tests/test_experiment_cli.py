@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import miwave.experiment
+import miwave.fitting
 from miwave import design_mi, detection_metric
 from miwave.cli import EXIT_CONFIG, EXIT_OK, main
 from miwave.experiment import (
@@ -341,6 +343,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "code 7: no design (scenario clutter_notch, E=0.5)" in err
 
+    def test_fit_csv_status_explains_converged(self, tmp_path, monkeypatch):
+        # converged is 1 exactly when the optimizer's termination message
+        # is a CONVERGENCE one; a one-iteration cap makes starts stop early
+        cfg, path = self._write_cfg(tmp_path)
+        statuses = {}
+        full = miwave.fitting.MAX_ITER
+        for max_iter in (full, 1):
+            monkeypatch.setattr(miwave.fitting, "MAX_ITER", max_iter)
+            out = tmp_path / f"iter{max_iter}"
+            assert main(["fit", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            for fit_csv in sorted(out.glob("fit_E*.csv")):
+                with open(fit_csv, newline="") as fh:
+                    reader = csv.DictReader(fh)
+                    assert reader.fieldnames[-2:] == ["converged", "optimizer_status"]
+                    for row in reader:
+                        status = row["optimizer_status"]
+                        assert (row["converged"] == "1") == status.startswith(
+                            "CONVERGENCE: "
+                        )
+                        statuses.setdefault(max_iter, set()).add(status)
+        assert any(s.startswith("CONVERGENCE: ") for s in statuses[full])
+        assert "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT" in statuses[1]
+
+    @pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+    def test_non_finite_roc_energy_is_config_error(self, tmp_path, capsys, energy):
+        cfg, path = self._write_cfg(tmp_path)
+        assert main(["roc", "--config", str(path), f"--energy={energy}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"energy must be finite and positive, got {float(energy)!r}" in err
+        assert not Path(cfg.out_dir).exists()
+
     def test_report_on_missing_file(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "none.csv")]) == EXIT_CONFIG
 
@@ -455,3 +488,84 @@ def test_design_fuzz_finite_or_config_error(log_energies, duration, wt, clutter)
         lines = (out / "esd_table.csv").read_text().splitlines()
         cells = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.all(np.isfinite(cells))
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _assert_finite_cells(rows, text_columns=()):
+    assert rows
+    cells = [float(v) for row in rows for k, v in row.items() if k not in text_columns]
+    assert np.all(np.isfinite(cells))
+
+
+# the ranges of test_design_fuzz_finite_or_config_error, one energy a
+# case; clutter also without zero-channel bins, so that more cases run
+_FUZZ_SCENES = dict(
+    log_energy=st.floats(-4.0, 4.0),
+    duration=st.sampled_from([0.5, 1.0, 2.0]),
+    wt=st.floats(2.0, 500.0),
+    clutter=st.one_of(
+        _ZERO_CHANNEL_CLUTTER,
+        st.builds(
+            lambda depth, width: ("clutter_notch",
+                                  {"level": 1.0, "notch_depth": depth, "notch_width": width}),
+            st.floats(0.0, 0.99),
+            st.floats(0.1, 5.0),
+        ),
+    ),
+)
+
+
+def _fuzz_config(tmp, duration, wt, clutter, **overrides):
+    clutter_kind, clutter_params = clutter
+    out = Path(tmp) / "out"
+    cfg = smoke_config(
+        out,
+        band_width=wt / duration,
+        duration=duration,
+        clutter_kind=clutter_kind,
+        clutter_params=clutter_params,
+        **overrides,
+    )
+    path = Path(tmp) / "cfg.yaml"
+    save_config(cfg, path)
+    return out, path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k_harmonics=st.integers(1, 3), **_FUZZ_SCENES)
+def test_fit_fuzz_finite_or_config_error(k_harmonics, log_energy, duration, wt, clutter):
+    # one start of a small-K fit: either every output is finite, or
+    # exit 2 and nothing is written
+    with tempfile.TemporaryDirectory() as tmp:
+        out, path = _fuzz_config(
+            tmp, duration, wt, clutter,
+            energy_list=(10.0**log_energy,), k_harmonics=k_harmonics, n_starts=1,
+        )
+        code = main(["fit", "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            assert not out.exists()
+            return
+        json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+        _assert_finite_cells(_csv_rows(out / "esd_table.csv"))
+        (fit_csv,) = out.glob("fit_E*.csv")
+        _assert_finite_cells(_csv_rows(fit_csv), text_columns=("optimizer_status",))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trials=st.integers(900, 2000), **_FUZZ_SCENES)
+def test_roc_fuzz_finite_or_config_error(trials, log_energy, duration, wt, clutter):
+    # the energy comes through the --energy override, which bypasses the
+    # config's energy_list checks
+    with tempfile.TemporaryDirectory() as tmp:
+        out, path = _fuzz_config(tmp, duration, wt, clutter, trials=trials)
+        code = main(["roc", "--config", str(path), "--energy", repr(10.0**log_energy)])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            assert not out.exists()
+            return
+        _assert_finite_cells(_csv_rows(out / "roc.csv"))

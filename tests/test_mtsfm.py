@@ -148,6 +148,28 @@ class TestCoefficients:
         got = coefficients(w, order_bound, tail_tol=np.inf).coeffs
         assert got.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("k_harm", [1, 8, 32])
+    def test_quadrature_matches_dense_reference(self, k_harm):
+        # random beta shaped like fit's starts (equal index weight per
+        # harmonic, random signs), at the order bound coefficients()
+        # picks: B >= index weight + 16. Weights 15 and 47 put B at 31
+        # and 63, where 2B+1 sits just below a power of two, so an FFT of
+        # only 2B+1 nodes (or the next power of two) fails this bound.
+        rng = np.random.default_rng(k_harm)
+        n_ref = 16384
+        for weight in (0.5, 3.7, 9.6, 15.0, 20.0, 33.3, 47.0):
+            share = rng.uniform(0.0, 1.0, k_harm)
+            sign = rng.choice([-1.0, 1.0], k_harm)
+            beta = sign * share / share.sum() * weight / np.arange(1, k_harm + 1)
+            w = MtsfmWaveform(1.0, 1.0, tuple(beta))
+            cs = coefficients(w)
+            t = -0.5 + np.arange(n_ref) / n_ref
+            f = np.fft.fft(np.exp(1j * phase(w, t))) / n_ref
+            m = cs.orders
+            want = f[m % n_ref] * (-1.0) ** m
+            got = mtsfm.raw_coefficients(beta, 1.0, cs.order_bound)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_truncation_warns(self):
         w = MtsfmWaveform(1.0, 1.0, (6.0, 3.0))
         with pytest.warns(UserWarning, match="tail"):

@@ -83,6 +83,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(noise, ok, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy_and_variance_rejected(self, notch_scenario, bad):
+        with pytest.raises(ValueError, match=f"energy must be finite.*{bad!r}"):
+            notch_scenario.with_energy(bad)
+        noise, clutter = notch_scenario.noise_psd, notch_scenario.channel_psd
+        with pytest.raises(ValueError, match="target_variance must be finite"):
+            Scenario(noise, clutter, bad, 1.0)
+
     def test_with_energy(self, notch_scenario):
         sc = notch_scenario.with_energy(5.0)
         assert sc.energy == 5.0
