@@ -30,7 +30,6 @@ from .fitting import (  # noqa: F401
     FitResult,
     OfdmTarget,
     fit,
-    objective,
     solve_ofdm_coeffs,
     support_halfwidth,
 )

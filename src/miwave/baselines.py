@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -52,8 +53,6 @@ def lfm_esd(w: LfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
     8x oversampled rate, at least 8*(B + 1/T), clears the Nyquist guard
     of :func:`lfm_time_series`.
     """
-    import math
-
     if not math.isclose(grid.duration, w.duration, rel_tol=1e-12):
         raise ValueError("grid spacing must equal 1/T of the waveform")
     n_min = 8 * max(

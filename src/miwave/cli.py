@@ -7,7 +7,8 @@ Subcommands:
   report  summarize a fit CSV into quartile statistics
 
 Exit codes: 0 success, 2 config error (including a scene whose design
-would put unbounded energy on a zero-channel bin, a non-numeric or
+would put unbounded energy on a zero-channel bin or whose channel PSD is
+too small for the water level to meet the budget, a non-numeric or
 non-finite scene field, and an output directory that cannot be
 written). A config or design error writes nothing. An RMS-bandwidth
 target the LFM comparator cannot reach is not an error: the comparator

@@ -23,6 +23,9 @@ from .spectral import Scenario, SpectralDensity, integrate
 
 __all__ = ["MiDesign", "esd_for_lambda", "solve_lambda", "design_mi"]
 
+#: relative miss of the energy budget above which a design is refused
+ENERGY_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MiDesign:
@@ -67,7 +70,8 @@ def solve_lambda(scenario: Scenario) -> float:
     mu_j = (E/df + B_j)/A_j, and the solution is the first mu_j that does
     not pass the next breakpoint s. The water level must stay below
     sqrt(P_n) of every zero-channel bin; if the budget cannot be met
-    there, :class:`UnboundedAllocationError` is raised.
+    there, :class:`UnboundedAllocationError` is raised. A P_h so small
+    that s/P_h or P_n/P_h overflows instead raises ``ValueError``.
     """
     p_n = scenario.noise_psd.values
     p_h = scenario.channel_psd.values
@@ -75,11 +79,15 @@ def solve_lambda(scenario: Scenario) -> float:
     ceiling = np.min(s[p_h == 0], initial=np.inf)
     idx = np.flatnonzero(p_h > 0)
     idx = idx[np.argsort(s[idx], kind="stable")]
-    a = np.cumsum(s[idx] / p_h[idx])
-    b = np.cumsum(p_n[idx] / p_h[idx])
-    mu = (scenario.energy / scenario.grid.spacing + b) / a
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain, cost = s[idx] / p_h[idx], p_n[idx] / p_h[idx]
+        a, b = np.cumsum(gain), np.cumsum(cost)
+        mu = (scenario.energy / scenario.grid.spacing + b) / a
     fits = np.flatnonzero(mu <= np.append(s[idx[1:]], np.inf))
     if fits.size == 0 or mu[fits[0]] >= ceiling:
+        overflow = np.sort(idx[np.isinf(gain) | np.isinf(cost)])
+        if overflow.size:
+            raise ValueError(f"P_n/P_h overflows on bins {overflow.tolist()}")
         raise UnboundedAllocationError(
             f"the budget E={scenario.energy:.6g} needs a water level at or above "
             f"sqrt(P_n)={ceiling:.6g} of a bin where the channel PSD vanishes"
@@ -89,8 +97,16 @@ def solve_lambda(scenario: Scenario) -> float:
 
 def design_mi(scenario: Scenario) -> MiDesign:
     """Full matched-illumination design: solve the water level, evaluate
-    the ESD, and report the active set."""
+    the ESD, and report the active set. On a bin with a tiny P_h, E_s =
+    (mu*s - P_n)/P_h divides the rounding error of mu*s by P_h, so a
+    relative miss of the budget above ``ENERGY_RTOL`` raises ValueError."""
     lam = solve_lambda(scenario)
     esd = esd_for_lambda(scenario, lam)
+    energy = integrate(esd)
+    if abs(energy - scenario.energy) > ENERGY_RTOL * scenario.energy:
+        raise ValueError(
+            f"the design integrates to {energy:.6g}, not the budget E="
+            f"{scenario.energy:.6g}: P_h is too small to resolve the water level"
+        )
     active = np.flatnonzero(esd.values > 0)
-    return MiDesign(esd, lam, integrate(esd), active)
+    return MiDesign(esd, lam, energy, active)

@@ -28,7 +28,7 @@ from .design import design_mi
 from .detection import analytic_roc, detection_metric, monte_carlo_roc
 from .fitting import fit, solve_ofdm_coeffs, support_halfwidth
 from .mtsfm import MtsfmWaveform, esd_on_grid, rms_bandwidth
-from .spectral import Scenario, as_int, build_parametric_psd, integrate, make_grid
+from .spectral import Scenario, as_int, build_parametric_psd, make_grid
 
 __all__ = [
     "ExperimentConfig",
@@ -192,8 +192,9 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
     ``esd_table.csv``, ``summary.json`` and, after a fit, ``fit_E*.csv``.
 
     Returns one record dict per energy, as written to ``summary.json``;
-    only a fit adds ``d2_box``, ``best_beta``, ``best_d2`` and
-    ``best_objective``. Nothing is written unless every energy runs.
+    only a fit adds ``d2_box``, ``best_start_index``, ``best_beta``,
+    ``best_d2`` and ``best_objective``, of the start in the first row of
+    ``fit_E*.csv``. Nothing is written unless every energy runs.
     """
     scene = config.scenario(config.energy_list[0])
     grid = scene.grid
@@ -213,7 +214,7 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
             raise
         mi_esds[energy] = design.esd
         d2_mi = detection_metric(design.esd, scenario)
-        target = solve_ofdm_coeffs(design.esd, grid, integrate(design.esd))
+        target = solve_ofdm_coeffs(design.esd, grid, design.achieved_energy)
         kappa = support_halfwidth(target)
 
         beta_rms = rms_bandwidth(design.esd, energy)
@@ -243,6 +244,7 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
         best_wave = MtsfmWaveform(config.duration, energy, best.beta)
         mtsfm_esds[energy] = esd_on_grid(best_wave, grid)
         record["d2_box"] = summarize_boxplot([r.d_squared_achieved for r in results])
+        record["best_start_index"] = best.start_index
         record["best_beta"] = list(best.beta)
         record["best_d2"] = best.d_squared_achieved
         record["best_objective"] = best.objective

@@ -33,7 +33,6 @@ __all__ = [
     "FitResult",
     "solve_ofdm_coeffs",
     "support_halfwidth",
-    "objective",
     "objective_and_gradient",
     "fit",
 ]
@@ -73,9 +72,13 @@ class FitResult:
     objective: float
     constraint_value: float
     d_squared_achieved: float
-    converged: bool
     status: str
     start_index: int
+
+    @property
+    def converged(self) -> bool:
+        """L-BFGS-B's success flag, read from its termination message."""
+        return self.status.startswith("CONVERGENCE:")
 
 
 def solve_ofdm_coeffs(
@@ -156,11 +159,6 @@ def objective_and_gradient(
     return f_val, grad
 
 
-def objective(beta, target: OfdmTarget, order_bound: int) -> float:
-    """Quartic distance between target and MTSFM coefficient powers."""
-    return objective_and_gradient(beta, target, order_bound)[0]
-
-
 def _draw_start(
     rng: np.random.Generator, k_harm: int, kappa: int, delta: float
 ) -> np.ndarray:
@@ -201,13 +199,13 @@ def fit(
     result list is reproducible). The quartic objective has poor local
     minima; each start therefore runs ``LOCAL_SEARCHES`` independent
     local searches from fresh feasible draws of its own stream and keeps
-    the lowest objective. Every search stays inside the support slab, so
-    ``converged`` is L-BFGS-B's own success flag and ``status`` its
-    termination message, which starts with ``CONVERGENCE:`` exactly when
-    ``converged`` is true. When a ``scenario`` is
-    supplied each result's detection metric is evaluated on the scenario
-    grid and the list is sorted by it, best first; otherwise by objective
-    value.
+    the lowest objective. Every search stays inside the support slab.
+    ``status`` is L-BFGS-B's termination message and ``converged`` is
+    true exactly when it starts with ``CONVERGENCE:``, which is when
+    L-BFGS-B reports success. When a ``scenario`` is supplied each
+    result's detection metric is evaluated on the scenario grid and the
+    list is sorted by it, best first; otherwise by objective value. Ties
+    go to the lower start index.
     """
     if k_harmonics < 1:
         raise ValueError("k_harmonics must be >= 1")
@@ -230,7 +228,7 @@ def fit(
         return f_val, h @ grad
 
     def run_local(beta0):
-        """One bounded L-BFGS-B search; returns (beta, f, success, message)."""
+        """One bounded L-BFGS-B search; returns (beta, f, message)."""
         res = minimize(
             reflected,
             h @ beta0,
@@ -240,7 +238,7 @@ def fit(
             tol=F_TOL,
             options={"maxiter": MAX_ITER, "gtol": G_TOL},
         )
-        return h @ res.x, float(res.fun), bool(res.success), str(res.message)
+        return h @ res.x, float(res.fun), str(res.message)
 
     results: list[FitResult] = []
     for i in range(n_starts):
@@ -250,7 +248,7 @@ def fit(
             run_local(_draw_start(rng, k_harmonics, kappa, delta))
             for _ in range(LOCAL_SEARCHES)
         )
-        beta, f_val, success, status = min(searches, key=lambda found: found[1])
+        beta, f_val, status = min(searches, key=lambda found: found[1])
         d2 = float("nan")
         if scenario is not None:
             w = MtsfmWaveform(
@@ -264,7 +262,6 @@ def fit(
                 objective=f_val,
                 constraint_value=float(k_vec @ beta),
                 d_squared_achieved=d2,
-                converged=success,
                 status=status,
                 start_index=i,
             )

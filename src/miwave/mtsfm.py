@@ -214,43 +214,29 @@ def raw_coefficients(
     return f[fold] * ramp
 
 
-def coefficients(
-    w: MtsfmWaveform,
-    order_bound: int | None = None,
-    *,
-    tail_tol: float = TAIL_TOL,
-) -> CoefficientSet:
+def coefficients(w: MtsfmWaveform, order_bound: int | None = None) -> CoefficientSet:
     """Fourier coefficients of exp(j*phi(t)) by dense FFT quadrature.
 
-    With ``order_bound=None`` the truncation grows (guard doubling from
-    16) until the Parseval tail is below ``tail_tol``. An explicit
-    ``order_bound`` is honored as-is; a tail above ``tail_tol`` then
-    only triggers a warning, since a caller may truncate on purpose.
+    With ``order_bound=None`` the truncation grows, ceil(sum_k k*|beta_k|)
+    plus a guard doubling from 16 up to ten times, until the Parseval
+    tail is at most ``TAIL_TOL``. An explicit ``order_bound`` is the one
+    bound tried, since a caller may truncate on purpose. A tail above
+    ``TAIL_TOL`` at the last bound tried only triggers a warning.
     """
+    if order_bound is None:
+        bounds = [math.ceil(w.index_weight) + (16 << i) for i in range(10)]
+    elif order_bound < 1:
+        raise ValueError("order_bound must be >= 1")
+    else:
+        bounds = [order_bound]
     beta = np.array(w.mod_indices)
-    if order_bound is not None:
-        if order_bound < 1:
-            raise ValueError("order_bound must be >= 1")
-        c = raw_coefficients(beta, w.duration, order_bound)
-        cs = CoefficientSet(c, order_bound)
-        if cs.tail_energy > tail_tol:
-            warnings.warn(
-                f"coefficient tail energy {cs.tail_energy:.2e} exceeds "
-                f"{tail_tol:.1e}; order_bound {order_bound} truncates support",
-                stacklevel=2,
-            )
-        return cs
-    guard = 16
-    base = int(math.ceil(w.index_weight))
-    for _ in range(10):
-        c = raw_coefficients(beta, w.duration, base + guard)
-        cs = CoefficientSet(c, base + guard)
-        if cs.tail_energy <= tail_tol:
+    for bound in bounds:
+        cs = CoefficientSet(raw_coefficients(beta, w.duration, bound), bound)
+        if cs.tail_energy <= TAIL_TOL:
             return cs
-        guard *= 2
     warnings.warn(
-        f"coefficient tail {cs.tail_energy:.2e} still above {tail_tol:.1e} "
-        f"at order bound {base + guard // 2}",
+        f"coefficient tail energy {cs.tail_energy:.2e} exceeds "
+        f"{TAIL_TOL:.1e} at order bound {bound}",
         stacklevel=2,
     )
     return cs
@@ -265,9 +251,7 @@ def spectrum(w: MtsfmWaveform, coeffs: CoefficientSet, f) -> np.ndarray | comple
     return out if np.ndim(f) else complex(out[0])
 
 
-def esd_on_grid(
-    w: MtsfmWaveform, grid: FrequencyGrid, coeffs: CoefficientSet | None = None
-) -> SpectralDensity:
+def esd_on_grid(w: MtsfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
     """ESD sampled at the grid bins: E*T*|c_m|^2 at f = m/T.
 
     The sinc carriers are orthonormal and vanish at the other bins, so
@@ -276,8 +260,7 @@ def esd_on_grid(
     """
     if not math.isclose(grid.duration, w.duration, rel_tol=1e-12):
         raise ValueError("grid spacing must equal 1/T of the waveform")
-    if coeffs is None:
-        coeffs = coefficients(w)
+    coeffs = coefficients(w)
     values = np.zeros(grid.num_bins)
     h = grid.half_order
     lo = min(h, coeffs.order_bound)

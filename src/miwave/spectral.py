@@ -94,8 +94,6 @@ def make_grid(band_width: float, duration: float) -> FrequencyGrid:
     about DC. The outermost bins may slightly exceed W/2 (by at most
     1/T) because of the ceiling; the covered band is M/T in [W, W + 2/T].
     """
-    if band_width <= 0 or duration <= 0:
-        raise ValueError("band_width and duration must be positive")
     m = math.ceil(band_width * duration)
     if m % 2 == 1:
         m += 1

@@ -8,6 +8,7 @@ from miwave import (
     Scenario,
     SpectralDensity,
     UnboundedAllocationError,
+    build_parametric_psd,
     design_mi,
     detection_metric,
     esd_for_lambda,
@@ -105,6 +106,42 @@ def test_zero_channel_bin_inactive_at_solution(small_grid):
     assert design.lagrange_lambda == pytest.approx((np.sqrt(0.1) / 0.11) ** 2)
     assert design.active_set.tolist() == [h]
     assert design.achieved_energy == pytest.approx(0.01, rel=1e-12)
+
+
+def _tiny_channel_scenario(bin_index, p_h):
+    # 21 bins: the noise valley puts DC (bin 10) first in the water-filling
+    # order and bin 3 near the band edge, above the water level at E = 2
+    grid = make_grid(20.0, 1.0)
+    noise = build_parametric_psd("noise_valley", {"n_min": 0.05, "n_max": 1.0}, grid)
+    clutter = np.full(grid.num_bins, 0.5)
+    clutter[bin_index] = p_h
+    return Scenario(noise, SpectralDensity(grid, clutter), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("p_h", [1e-20, 1e-16, 1e-300])
+def test_tiny_channel_on_active_bin_missing_budget_is_error(p_h):
+    # (mu*s - P_n)/P_h at DC is rounding error over a tiny P_h, so the
+    # ESD integrates to far from E (0 at 1e-300) and the design refuses it
+    with pytest.raises(ValueError, match="not the budget E=2"):
+        design_mi(_tiny_channel_scenario(10, p_h))
+
+
+@pytest.mark.parametrize("p_h", [1e-310, 5e-324])
+def test_overflowing_channel_ratio_names_its_bins(p_h):
+    with pytest.raises(ValueError, match=r"overflows on bins \[10\]") as info:
+        design_mi(_tiny_channel_scenario(10, p_h))
+    assert not isinstance(info.value, UnboundedAllocationError)
+    assert "vanishes" not in str(info.value)
+
+
+@pytest.mark.parametrize("p_h", [1e-20, 1e-16, 1e-300, 1e-310, 5e-324])
+def test_tiny_channel_on_inactive_bin_designs_as_before(p_h):
+    want = design_mi(_tiny_channel_scenario(3, 0.5))
+    got = design_mi(_tiny_channel_scenario(3, p_h))
+    assert 3 not in got.active_set
+    assert got.lagrange_lambda == want.lagrange_lambda
+    assert got.esd.values.tolist() == want.esd.values.tolist()
+    assert got.achieved_energy == pytest.approx(2.0, rel=1e-12)
 
 
 def _lambda_step(mu, s, p_h, bins, df):

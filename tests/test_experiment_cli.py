@@ -178,6 +178,13 @@ class TestRunExperiment:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
+    def test_summary_names_best_start(self, tmp_path):
+        cfg = smoke_config(tmp_path / "out")
+        records = run_experiment(cfg)
+        for rec in records:
+            rows = _csv_rows(Path(cfg.out_dir) / f"fit_E{rec['energy']:.12g}.csv")
+            assert rec["best_start_index"] == int(rows[0]["start_index"])
+
     def test_roc_output(self, tmp_path):
         cfg = smoke_config(tmp_path / "out")
         path = run_roc(cfg, 2.0)
@@ -318,6 +325,24 @@ class TestCli:
             clutter_params={"level": 1.0, "notch_depth": 1.0, "notch_width": 2.0},
         )
         assert main(["design", "--config", str(path)]) == EXIT_CONFIG
+        assert not Path(cfg.out_dir).exists()
+
+    @pytest.mark.parametrize("p_h", [1e-20, 5e-324])
+    def test_tiny_channel_bin_is_config_error(self, tmp_path, capsys, p_h):
+        # the DC bin of this table is too small for the water level to
+        # meet E (1e-20) or for P_n/P_h to be finite (5e-324)
+        cfg, path = self._write_cfg(
+            tmp_path,
+            band_width=20.0,
+            clutter_kind="custom_table",
+            clutter_params={
+                "freqs": [-10.0, -1.0, 0.0, 1.0, 10.0],
+                "values": [0.5, 0.5, p_h, 0.5, 0.5],
+            },
+            energy_list=(2.0,),
+        )
+        assert main(["design", "--config", str(path)]) == EXIT_CONFIG
+        assert "(scenario custom_table, E=2)" in capsys.readouterr().err
         assert not Path(cfg.out_dir).exists()
 
     def test_design_error_keeps_type_and_names_scene(

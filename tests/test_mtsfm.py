@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -120,6 +122,29 @@ class TestCoefficients:
             total = np.sum(np.abs(cs.coeffs) ** 2)
             assert 1.0 - 1e-8 <= total <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("beta, bound", [(200.0, 232), (1000.0, 1064)])
+    def test_default_bound_doubles_guard_until_tail_is_small(self, beta, bound):
+        # guard 16 leaves a tail above TAIL_TOL at these index weights;
+        # 200 needs one doubling (200 + 32), 1000 two (1000 + 64)
+        cs = coefficients(MtsfmWaveform(1.0, 1.0, (beta,)))
+        assert cs.order_bound == bound
+        assert cs.tail_energy <= mtsfm.TAIL_TOL
+
+    def test_explicit_bound_is_kept_and_warns(self):
+        w = MtsfmWaveform(1.0, 1.0, (6.0, 3.0))
+        with pytest.warns(UserWarning, match="tail"):
+            cs = coefficients(w, 3)
+        assert cs.order_bound == 3
+        assert cs.tail_energy > mtsfm.TAIL_TOL
+
+    def test_default_bound_warns_after_last_doubling(self, monkeypatch):
+        # no tail is below a negative tolerance, so all ten bounds are tried
+        monkeypatch.setattr(mtsfm, "TAIL_TOL", -1.0)
+        w = MtsfmWaveform(1.0, 1.0, (2.5,))
+        with pytest.warns(UserWarning, match="tail"):
+            cs = coefficients(w)
+        assert cs.order_bound == 3 + 16 * 2**9
+
     def test_two_harmonic_convolution_oracle(self):
         # a product of unit-modulus factors has convolved coefficients
         b1, b2 = 1.3, 0.7
@@ -145,7 +170,9 @@ class TestCoefficients:
         f = np.fft.fft(np.exp(1j * phase(w, t))) / n
         m = np.arange(-order_bound, order_bound + 1)
         want = f[m % n] * (-1.0) ** m
-        got = coefficients(w, order_bound, tail_tol=np.inf).coeffs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # only the quadrature is compared
+            got = coefficients(w, order_bound).coeffs
         assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("k_harm", [1, 8, 32])
@@ -231,7 +258,7 @@ class TestEsdAndBandwidth:
         grid = make_grid(30.0, 1.0)
         w = MtsfmWaveform(1.0, 1.5, (2.0, 0.5))
         cs = coefficients(w)
-        esd = esd_on_grid(w, grid, cs)
+        esd = esd_on_grid(w, grid)
         assert integrate(esd) + 1.5 * cs.tail_energy == pytest.approx(1.5, rel=1e-9)
 
     def test_bessel_esd_symmetry(self):
