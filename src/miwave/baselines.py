@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .mtsfm import rms_bandwidth
 from .spectral import FrequencyGrid, SpectralDensity
@@ -105,5 +104,57 @@ def match_rms_bandwidth(
     r0 = resid(0.0)
     if r0 >= 0:
         return LfmWaveform(duration, energy, 0.0)
-    b = brentq(resid, 0.0, b_max, rtol=1e-4)
+    b = _brentq(resid, 0.0, b_max, rtol=1e-4)
     return LfmWaveform(duration, energy, float(b))
+
+
+def _brentq(f, a: float, b: float, rtol: float) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of scipy's ``brentq`` (its ``brentq.c``) at the
+    defaults ``xtol=2e-12`` and ``maxiter=100``: the same iterates, so
+    the same root and the same number of calls to ``f``.
+    """
+    xtol = 2e-12
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")

@@ -12,7 +12,10 @@ support half-width. The objective is nonconvex, so the solver is a
 multistart quasi-Newton with feasible-by-construction random starts. A
 Householder reflection maps the unit normal k/|k| of the support slab to
 the first axis, so in the reflected coordinates the slab is a box bound
-on one coordinate, which L-BFGS-B enforces exactly.
+on one coordinate, which L-BFGS-B enforces exactly. L-BFGS-B is scipy's,
+and this is the only runtime use of scipy: :func:`fit` imports
+``scipy.optimize`` on its first call, so a process that does not fit
+(``miwave design``, ``miwave roc``) never loads scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import mtsfm
 from .detection import detection_metric
@@ -207,6 +209,9 @@ def fit(
     list is sorted by it, best first; otherwise by objective value. Ties
     go to the lower start index.
     """
+    # imported here: about 0.5 s of start-up that only the fit needs
+    from scipy.optimize import minimize
+
     if k_harmonics < 1:
         raise ValueError("k_harmonics must be >= 1")
     if not 0 < delta < 1:

@@ -94,6 +94,10 @@ def make_grid(band_width: float, duration: float) -> FrequencyGrid:
     about DC. The outermost bins may slightly exceed W/2 (by at most
     1/T) because of the ceiling; the covered band is M/T in [W, W + 2/T].
     """
+    if not (math.isfinite(band_width) and math.isfinite(duration)):
+        raise ValueError(
+            f"band_width and duration must be finite, got {band_width} and {duration}"
+        )
     m = math.ceil(band_width * duration)
     if m % 2 == 1:
         m += 1

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from miwave import (
     LfmWaveform,
@@ -12,6 +15,7 @@ from miwave import (
     match_rms_bandwidth,
     rms_bandwidth,
 )
+from miwave.baselines import _brentq
 
 
 class TestLfmTimeSeries:
@@ -112,3 +116,56 @@ class TestMatchRmsBandwidth:
             w = match_rms_bandwidth(target, sc.grid.duration, 2.0, sc.grid)
             d2_lfm = detection_metric(lfm_esd(w, sc.grid), sc)
             assert d2_lfm <= d2_star + 1e-9
+
+
+def _counted(f):
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x)
+
+    return g, calls
+
+
+def _assert_same_as_scipy(f, a, b):
+    """``_brentq`` and scipy's ``brentq`` at rtol 1e-4: the same root, bit
+    for bit, after the same number of calls to ``f``."""
+    g, calls = _counted(f)
+    root = _brentq(g, a, b, rtol=1e-4)
+    ref, info = brentq(f, a, b, rtol=1e-4, full_output=True)
+    assert info.converged
+    assert root == ref
+    assert calls[0] == info.function_calls
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("band_width", [20.0, 100.0])
+    @pytest.mark.parametrize("frac", [0.1, 0.25, 0.4, 0.55, 0.7])
+    def test_lfm_residual_matches_scipy(self, band_width, frac):
+        # the residual of match_rms_bandwidth on 21- and 101-bin grids;
+        # frac scales the flat-spectrum RMS bandwidth of a full-band sweep
+        grid = make_grid(band_width, 1.0)
+        target = frac * 2 * np.pi * band_width / np.sqrt(12.0)
+
+        def resid(b):
+            esd = lfm_esd(LfmWaveform(1.0, 1.0, b), grid)
+            return rms_bandwidth(esd, 1.0) - target
+
+        assert resid(0.0) < 0 < resid(grid.band_width)
+        _assert_same_as_scipy(resid, 0.0, grid.band_width)
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x**3 - 2.0, 0.0, 3.0),
+            (lambda x: math.atan(100.0 * (x - 0.123)), -1.0, 4.0),
+            (lambda x: math.exp(x) - 1.0, 0.0, 2.0),  # root at an endpoint
+        ],
+    )
+    def test_analytic_monotone_matches_scipy(self, f, a, b):
+        _assert_same_as_scipy(f, a, b)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, rtol=1e-4)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -594,3 +597,38 @@ def test_roc_fuzz_finite_or_config_error(trials, log_energy, duration, wt, clutt
             assert not out.exists()
             return
         _assert_finite_cells(_csv_rows(out / "roc.csv"))
+
+
+# run in a fresh interpreter, since this test process has imported scipy;
+# the last stdout line lists the scipy modules loaded
+_SCIPY_CHECK = """
+import sys
+import miwave.cli
+if sys.argv[1:]:
+    assert miwave.cli.main(sys.argv[1:]) == 0
+print(" ".join(m for m in ("scipy", "scipy.optimize") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ([], ""),
+        (["design"], ""),
+        (["roc", "--trials", "1000"], ""),
+        (["fit", "--starts", "1"], "scipy scipy.optimize"),
+    ],
+)
+def test_only_fit_imports_scipy(tmp_path, command, loaded):
+    argv = []
+    if command:
+        config = Path(__file__).resolve().parent.parent / "configs" / "clutter_notch.yaml"
+        argv = [command[0], "--config", str(config), "--out", str(tmp_path), *command[1:]]
+    src = str(Path(miwave.experiment.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_CHECK, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == loaded

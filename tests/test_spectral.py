@@ -44,6 +44,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(1.0, 1.0, 4)
 
+    @pytest.mark.parametrize(
+        "w, t", [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0), (0.0, np.inf)]
+    )
+    def test_rejects_non_finite_args(self, w, t):
+        with pytest.raises(ValueError, match="band_width and duration must be finite"):
+            make_grid(w, t)
+
 
 class TestSpectralDensity:
     def test_validation(self, small_grid):
