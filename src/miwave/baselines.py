@@ -94,7 +94,8 @@ def match_rms_bandwidth(
         return rms_bandwidth(esd, energy) - target_beta_rms
 
     b_max = grid.band_width
-    if resid(b_max) < 0:
+    r_max = resid(b_max)
+    if r_max < 0:
         warnings.warn(
             f"RMS-bandwidth target {target_beta_rms:.4g} rad/s unreachable; "
             "clamping the comparator to a full-band sweep",
@@ -104,20 +105,22 @@ def match_rms_bandwidth(
     r0 = resid(0.0)
     if r0 >= 0:
         return LfmWaveform(duration, energy, 0.0)
-    b = _brentq(resid, 0.0, b_max, rtol=1e-4)
+    b = _brentq(resid, 0.0, b_max, r0, r_max, rtol=1e-4)
     return LfmWaveform(duration, energy, float(b))
 
 
-def _brentq(f, a: float, b: float, rtol: float) -> float:
-    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+def _brentq(f, a: float, b: float, fa: float, fb: float, rtol: float) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4),
+    given the endpoint values ``fa = f(a)`` and ``fb = f(b)``.
 
     A step-for-step port of scipy's ``brentq`` (its ``brentq.c``) at the
     defaults ``xtol=2e-12`` and ``maxiter=100``: the same iterates, so
-    the same root and the same number of calls to ``f``.
+    the same root, with two calls to ``f`` fewer, since the caller
+    already has the endpoint values.
     """
     xtol = 2e-12
     xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = fa, fb
     if fpre == 0:
         return xpre
     if fcur == 0:

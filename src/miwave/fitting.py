@@ -12,10 +12,10 @@ support half-width. The objective is nonconvex, so the solver is a
 multistart quasi-Newton with feasible-by-construction random starts. A
 Householder reflection maps the unit normal k/|k| of the support slab to
 the first axis, so in the reflected coordinates the slab is a box bound
-on one coordinate, which L-BFGS-B enforces exactly. L-BFGS-B is scipy's,
-and this is the only runtime use of scipy: :func:`fit` imports
-``scipy.optimize`` on its first call, so a process that does not fit
-(``miwave design``, ``miwave roc``) never loads scipy.
+on one coordinate, which the fit engine projects onto exactly. The
+engine is a projected L-BFGS with Armijo backtracking that advances the
+local searches of all starts together, one batched objective call per
+step, in numpy alone: no runtime dependency beyond numpy.
 """
 
 from __future__ import annotations
@@ -43,11 +43,24 @@ __all__ = [
 SUPPORT_TOL = 0.01
 #: local searches per start, each from a fresh feasible draw of its stream
 LOCAL_SEARCHES = 3
-#: L-BFGS-B iteration cap and tolerances: relative reduction of the
-#: objective (passed as ``tol``) and projected gradient
+#: per-search iteration cap and stopping tolerances: relative reduction
+#: of the objective in one step and infinity norm of the projected gradient
 MAX_ITER = 500
 F_TOL = 1e-14
 G_TOL = 1e-12
+#: curvature pairs each search keeps for its L-BFGS model
+MEMORY = 10
+#: Armijo sufficient-decrease constant and trial steps per line search
+ARMIJO_C1 = 1e-4
+LINE_SEARCH_STEPS = 30
+#: a curvature pair (s, y) is kept only when s.y > CURVATURE_TOL * y.y
+CURVATURE_TOL = 1e-10
+
+#: termination messages, one per stopping rule of the fit engine
+CONVERGED_GRADIENT = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= G_TOL"
+CONVERGED_REDUCTION = "CONVERGENCE: RELATIVE REDUCTION OF F <= F_TOL"
+ITERATION_LIMIT = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+LINE_SEARCH_FAILED = "ABNORMAL: NO SUFFICIENT DECREASE ALONG THE SEARCH PATH"
 
 
 @dataclass(frozen=True)
@@ -79,7 +92,9 @@ class FitResult:
 
     @property
     def converged(self) -> bool:
-        """L-BFGS-B's success flag, read from its termination message."""
+        """True exactly when the search stopped on its gradient or its
+        reduction test: ``status`` starts with ``CONVERGENCE: ``, not
+        ``STOP: `` (iteration cap) or ``ABNORMAL: `` (line search)."""
         return self.status.startswith("CONVERGENCE:")
 
 
@@ -138,26 +153,33 @@ def _shift_maps(k_max: int, order_bound: int) -> np.ndarray:
 
 def objective_and_gradient(
     beta, target: OfdmTarget, order_bound: int
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
     """Quartic fit objective and its analytic gradient.
 
+    ``beta`` is one set of indices (K,), giving a float and a (K,)
+    gradient, or a batch (S, K), giving (S,) objectives and (S, K)
+    gradients. Each row's values are bit-for-bit those of the row alone.
     Uses the coefficient derivative d c_m / d beta_k =
     -j*(c_{m-k} + c_{m+k})/2, which follows from differentiating
     exp(j*phi) under the cosine harmonic at index k.
     """
     beta = np.asarray(beta, dtype=float)
-    if beta.size < 1 or not np.isfinite(beta).all():
+    if beta.ndim not in (1, 2) or beta.shape[-1] < 1 or not np.isfinite(beta).all():
         raise ValueError("modulation indices must be finite and nonempty")
-    k_max = beta.size
-    c_ext = mtsfm.raw_coefficients(beta, 1.0, order_bound + k_max)
-    c = c_ext[k_max : k_max + 2 * order_bound + 1]
+    rows = np.atleast_2d(beta)
+    k_max = rows.shape[1]
+    c_ext = mtsfm.raw_coefficients(rows, 1.0, order_bound + k_max)
+    c = c_ext[:, k_max : k_max + 2 * order_bound + 1]
     u = np.abs(c) ** 2
     t_pow = _target_power(target, order_bound)
     resid = target.energy * u - t_pow
-    f_val = float(np.sum(resid**2))
-    pair = c_ext[_shift_maps(k_max, order_bound)]
-    du = np.imag(np.conj(c) * (pair[0] + pair[1]))
-    grad = 2.0 * target.energy * np.sum(resid * du, axis=1)
+    f_val = np.sum(resid**2, axis=-1)
+    down, up = _shift_maps(k_max, order_bound)
+    pair = c_ext.take(down, axis=1) + c_ext.take(up, axis=1)
+    du = np.imag(np.conj(c)[:, None] * pair)
+    grad = 2.0 * target.energy * np.sum(resid[:, None] * du, axis=-1)
+    if beta.ndim == 1:
+        return float(f_val[0]), grad[0]
     return f_val, grad
 
 
@@ -184,6 +206,146 @@ def _slab_reflection(k_vec: np.ndarray) -> np.ndarray:
     return eye if vv == 0.0 else eye - (2.0 / vv) * np.outer(v, v)
 
 
+def _rows_times(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` times the symmetric H; an einsum, so that a row's
+    product does not depend on the other rows (see mtsfm._phase_sum)."""
+    return np.einsum("sk,kj->sj", a, h)
+
+
+def _evaluate(x, h, target, order_bound):
+    """Indices beta = H x, objective and x-gradient H grad of each row.
+
+    ``objective_and_gradient`` is looked up at call time, one call per
+    batch of rows, so a caller can wrap it to count or time evaluations.
+    """
+    beta = _rows_times(x, h)
+    f_val, grad = objective_and_gradient(beta, target, order_bound)
+    return beta, f_val, _rows_times(grad, h)
+
+
+def _search(x, lo, hi, h, target, order_bound):
+    """Projected L-BFGS from every row of ``x`` at once, in lockstep.
+
+    The first coordinate is boxed to [lo, hi], the others are free. Each
+    iteration takes the L-BFGS direction from the row's last ``MEMORY``
+    curvature pairs (an empty slot adds nothing), with the first
+    coordinate frozen while it sits at a bound with an outward gradient,
+    then backtracks by halving along the projected path until the Armijo
+    condition holds. Every row still searching or backtracking goes into
+    one batched objective call. A row stops when its line search finds
+    no sufficient decrease in ``LINE_SEARCH_STEPS`` trial steps, when its
+    projected gradient is at most ``G_TOL``, when its last step reduced
+    the objective by at most ``F_TOL`` relative, or after ``MAX_ITER``
+    iterations, the first of these in this order giving its message.
+    Every operation is row-wise, so a row's path does not depend on the
+    other rows.
+
+    Returns the final indices beta, objectives and termination messages.
+    """
+    n_rows, k_dim = x.shape
+    out_beta = np.empty_like(x)
+    out_f = np.empty(n_rows)
+    out_status = np.empty(n_rows, dtype=object)
+
+    x = x.copy()
+    x[:, 0] = np.clip(x[:, 0], lo, hi)
+    beta, f, g = _evaluate(x, h, target, order_bound)
+    row = np.arange(n_rows)
+    s_mem = np.zeros((n_rows, MEMORY, k_dim))  # newest pair last
+    y_mem = np.zeros((n_rows, MEMORY, k_dim))
+    sy_mem = np.zeros((n_rows, MEMORY))  # s_i.y_i; 0 marks an empty slot
+    # inverse of U = triu(s_i.y_j), with the identity in the empty slots
+    u_inv = np.tile(np.eye(MEMORY), (n_rows, 1, 1))
+    gamma = np.ones(n_rows)
+    iters = np.zeros(n_rows, dtype=int)
+    failed = reduced = np.zeros(n_rows, dtype=bool)
+
+    while True:
+        frozen = ((x[:, 0] <= lo) & (g[:, 0] > 0)) | ((x[:, 0] >= hi) & (g[:, 0] < 0))
+        pg = g.copy()
+        pg[frozen, 0] = 0.0
+        # later rules overwrite earlier ones
+        stop = np.full(row.size, "", dtype=object)
+        stop[iters >= MAX_ITER] = ITERATION_LIMIT
+        stop[reduced] = CONVERGED_REDUCTION
+        stop[np.abs(pg).max(axis=1) <= G_TOL] = CONVERGED_GRADIENT
+        stop[failed] = LINE_SEARCH_FAILED
+        done = stop != ""
+        if done.any():
+            out_status[row[done]] = stop[done]
+            out_beta[row[done]], out_f[row[done]] = beta[done], f[done]
+            keep = ~done
+            row, x, beta, f, g, pg, frozen = (
+                a[keep] for a in (row, x, beta, f, g, pg, frozen)
+            )
+            s_mem, y_mem, sy_mem, u_inv, gamma, iters = (
+                a[keep] for a in (s_mem, y_mem, sy_mem, u_inv, gamma, iters)
+            )
+            if not row.size:
+                return out_beta, out_f, out_status.tolist()
+
+        # the two-loop recursion in closed form (Byrd, Nocedal and Schnabel,
+        # Math. Prog. 1994): its first loop solves U alpha = S pg, its
+        # second U^T delta = diag(U) alpha - Y r for r = gamma (pg - Y^T
+        # alpha), and the direction is -(r + S^T delta)
+        alpha = np.einsum("smn,sn->sm", u_inv, np.einsum("smk,sk->sm", s_mem, pg))
+        r = gamma[:, None] * (pg - np.einsum("smk,sm->sk", y_mem, alpha))
+        rhs = sy_mem * alpha - np.einsum("smk,sk->sm", y_mem, r)
+        d = -(r + np.einsum("smk,sm->sk", s_mem, np.einsum("snm,sn->sm", u_inv, rhs)))
+        d[frozen, 0] = 0.0
+        # without curvature pairs the first step has unit length, as in L-BFGS-B
+        step = np.where(
+            sy_mem[:, -1] > 0,
+            1.0,
+            np.minimum(1.0, 1.0 / np.sqrt(np.sum(d * d, axis=-1))),
+        )
+
+        # Armijo backtracking along the projected path, all rows in one batch;
+        # a row whose line search fails keeps its last accepted point
+        x_new, beta_new, f_new, g_new = x.copy(), beta.copy(), f.copy(), g.copy()
+        pending = np.arange(row.size)
+        for _ in range(LINE_SEARCH_STEPS):
+            xt = x[pending] + step[pending, None] * d[pending]
+            xt[:, 0] = np.clip(xt[:, 0], lo, hi)
+            bt, ft, gt = _evaluate(xt, h, target, order_bound)
+            decrease = ARMIJO_C1 * np.sum(g[pending] * (xt - x[pending]), axis=-1)
+            ok = ft <= f[pending] + decrease
+            took = pending[ok]
+            x_new[took], beta_new[took], f_new[took], g_new[took] = (
+                xt[ok], bt[ok], ft[ok], gt[ok]
+            )
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            step[pending] *= 0.5
+        failed = np.zeros(row.size, dtype=bool)
+        failed[pending] = True
+        iters += ~failed
+
+        s_step, y_step = x_new - x, g_new - g
+        sy = np.sum(s_step * y_step, axis=-1)
+        yy = np.sum(y_step * y_step, axis=-1)
+        store = ~failed & (sy > CURVATURE_TOL * yy)
+        # drop the oldest slot: U^-1 keeps its trailing block, the inverse
+        # of U's; the new pair adds the column u_i = s_i.y and corner s.y
+        s_mem[store, :-1], y_mem[store, :-1], sy_mem[store, :-1] = (
+            s_mem[store, 1:], y_mem[store, 1:], sy_mem[store, 1:]
+        )
+        s_mem[store, -1], y_mem[store, -1] = s_step[store], y_step[store]
+        sy_mem[store, -1] = sy[store]
+        inv = u_inv[store, 1:, 1:]
+        u_col = np.einsum("smk,sk->sm", s_mem[store, :-1], y_step[store])
+        u_inv[store, :-1, :-1] = inv
+        u_inv[store, :-1, -1] = -np.einsum("smn,sn->sm", inv, u_col) / sy[store, None]
+        u_inv[store, -1, :-1] = 0.0
+        u_inv[store, -1, -1] = 1.0 / sy[store]
+        gamma[store] = sy[store] / yy[store]
+        reduced = (f - f_new) <= F_TOL * np.maximum(
+            np.maximum(np.abs(f), np.abs(f_new)), 1.0
+        )
+        x, beta, f, g = x_new, beta_new, f_new, g_new
+
+
 def fit(
     target: OfdmTarget,
     k_harmonics: int,
@@ -201,17 +363,20 @@ def fit(
     result list is reproducible). The quartic objective has poor local
     minima; each start therefore runs ``LOCAL_SEARCHES`` independent
     local searches from fresh feasible draws of its own stream and keeps
-    the lowest objective. Every search stays inside the support slab.
-    ``status`` is L-BFGS-B's termination message and ``converged`` is
-    true exactly when it starts with ``CONVERGENCE:``, which is when
-    L-BFGS-B reports success. When a ``scenario`` is supplied each
-    result's detection metric is evaluated on the scenario grid and the
-    list is sorted by it, best first; otherwise by objective value. Ties
-    go to the lower start index.
+    the lowest objective, the earliest search on ties. All searches of
+    all starts run together in one projected L-BFGS (:func:`_search`),
+    and a search's path does not depend on the others, so start i is the
+    same for any ``n_starts`` > i. Every search stays inside the support
+    slab. ``status`` is the engine's termination message, one of the
+    module's ``CONVERGED_GRADIENT`` and ``CONVERGED_REDUCTION``, which
+    start with ``CONVERGENCE: ``, ``ITERATION_LIMIT``, which is
+    ``STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT``, and
+    ``LINE_SEARCH_FAILED``, which starts with ``ABNORMAL: ``;
+    ``converged`` is true exactly for the two ``CONVERGENCE: `` ones. When a
+    ``scenario`` is supplied each result's detection metric is evaluated
+    on the scenario grid and the list is sorted by it, best first;
+    otherwise by objective value. Ties go to the lower start index.
     """
-    # imported here: about 0.5 s of start-up that only the fit needs
-    from scipy.optimize import minimize
-
     if k_harmonics < 1:
         raise ValueError("k_harmonics must be >= 1")
     if not 0 < delta < 1:
@@ -226,34 +391,24 @@ def fit(
     # x = H beta turns lo <= k.beta <= hi into lo/|k| <= x_1 <= hi/|k|
     h = _slab_reflection(k_vec)
     k_norm = np.linalg.norm(k_vec)
-    bounds = [(lo / k_norm, hi / k_norm)] + [(None, None)] * (k_harmonics - 1)
 
-    def reflected(x):
-        f_val, grad = objective_and_gradient(h @ x, target, order_bound)
-        return f_val, h @ grad
-
-    def run_local(beta0):
-        """One bounded L-BFGS-B search; returns (beta, f, message)."""
-        res = minimize(
-            reflected,
-            h @ beta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            tol=F_TOL,
-            options={"maxiter": MAX_ITER, "gtol": G_TOL},
-        )
-        return h @ res.x, float(res.fun), str(res.message)
+    draws = []
+    for i in range(n_starts):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        draws += [
+            _draw_start(rng, k_harmonics, kappa, delta) for _ in range(LOCAL_SEARCHES)
+        ]
+    betas, f_vals, statuses = _search(
+        _rows_times(np.array(draws), h), lo / k_norm, hi / k_norm, h, target,
+        order_bound,
+    )
 
     results: list[FitResult] = []
     for i in range(n_starts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        # min keeps the earliest of equal objectives
-        searches = (
-            run_local(_draw_start(rng, k_harmonics, kappa, delta))
-            for _ in range(LOCAL_SEARCHES)
-        )
-        beta, f_val, status = min(searches, key=lambda found: found[1])
+        first = i * LOCAL_SEARCHES
+        # argmin keeps the earliest of equal objectives
+        j = first + int(np.argmin(f_vals[first : first + LOCAL_SEARCHES]))
+        beta = betas[j]
         d2 = float("nan")
         if scenario is not None:
             w = MtsfmWaveform(
@@ -264,10 +419,10 @@ def fit(
         results.append(
             FitResult(
                 beta=tuple(float(b) for b in beta),
-                objective=f_val,
+                objective=float(f_vals[j]),
                 constraint_value=float(k_vec @ beta),
                 d_squared_achieved=d2,
-                status=status,
+                status=statuses[j],
                 start_index=i,
             )
         )

@@ -110,12 +110,24 @@ def _harmonic_cosines(t: np.ndarray, num_harmonics: int, duration: float) -> np.
     return np.cos(2.0 * np.pi * np.multiply.outer(t, k) / duration)
 
 
+def _phase_sum(cos_kt: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """-sum_k beta_k cos_kt[..., k] for each row of ``beta`` (S, K); the
+    row axis comes first.
+
+    An einsum rather than a BLAS matmul: BLAS blocks a product by its
+    shape, so a row could round differently with the number of rows,
+    while the einsum sums each row alone. A row's phase is then
+    bit-for-bit the same whatever rows share the call.
+    """
+    return -np.einsum("...k,sk->s...", cos_kt, beta)
+
+
 def phase(w: MtsfmWaveform, t) -> np.ndarray | float:
     """Instantaneous phase phi(t) = -sum_k beta_k cos(2*pi*k*t/T)."""
     t_arr = np.asarray(t, dtype=float)
     _check_support(w, t_arr)
     cos_kt = _harmonic_cosines(t_arr, w.num_harmonics, w.duration)
-    out = -(cos_kt @ np.array(w.mod_indices))
+    out = _phase_sum(cos_kt, np.array([w.mod_indices]))[0]
     return out if out.ndim else float(out)
 
 
@@ -201,17 +213,23 @@ def raw_coefficients(
     """Fourier coefficients c_m, |m| <= order_bound, of exp(j*phi(t)) by
     FFT quadrature of the phase on the cached nodes of :func:`_fft_size`.
 
-    The phase sum is the same ``table @ beta`` as in :func:`phase`, so
-    the result is bit-for-bit the FFT of the public phase on those
-    nodes. The kernel behind :func:`coefficients` and the spectral-fit
-    objective: ``beta`` must be a finite float array of length K >= 1,
-    since nothing here validates it.
+    ``beta`` is one set of indices (K,) or a batch (S, K), one set per
+    row, giving coefficients of shape (2B+1,) or (S, 2B+1). The phase
+    sum is the same :func:`_phase_sum` as in :func:`phase`, so each row
+    is bit-for-bit the FFT of the public phase on those nodes, and does
+    not depend on the other rows. The kernel behind :func:`coefficients`
+    and the spectral-fit objective: ``beta`` must be a finite float
+    array with K >= 1, since nothing here validates it.
     """
     n = _fft_size(order_bound)
-    phi = -(_phase_table(duration, beta.size, n) @ beta)
-    f = np.fft.fft(np.exp(1j * phi)) / n
+    rows = np.atleast_2d(beta)
+    phi = _phase_sum(_phase_table(duration, rows.shape[1], n), rows)
+    f = np.fft.fft(np.exp(1j * phi), axis=-1) / n
     fold, ramp = _order_fold(order_bound)
-    return f[fold] * ramp
+    # take, not f[:, fold], keeps rows contiguous, so that a row-wise sum
+    # of the result reduces each row as it would reduce it alone
+    c = f.take(fold, axis=1) * ramp
+    return c if beta.ndim == 2 else c[0]
 
 
 def coefficients(w: MtsfmWaveform, order_bound: int | None = None) -> CoefficientSet:

@@ -611,15 +611,11 @@ print(" ".join(m for m in ("scipy", "scipy.optimize") if m in sys.modules))
 
 
 @pytest.mark.parametrize(
-    "command, loaded",
-    [
-        ([], ""),
-        (["design"], ""),
-        (["roc", "--trials", "1000"], ""),
-        (["fit", "--starts", "1"], "scipy scipy.optimize"),
-    ],
+    "command",
+    [[], ["design"], ["roc", "--trials", "1000"], ["fit", "--starts", "1"]],
+    ids=["import", "design", "roc", "fit"],
 )
-def test_only_fit_imports_scipy(tmp_path, command, loaded):
+def test_no_command_imports_scipy(tmp_path, command):
     argv = []
     if command:
         config = Path(__file__).resolve().parent.parent / "configs" / "clutter_notch.yaml"
@@ -631,4 +627,4 @@ def test_only_fit_imports_scipy(tmp_path, command, loaded):
         [sys.executable, "-c", _SCIPY_CHECK, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.splitlines()[-1] == loaded
+    assert proc.stdout.splitlines()[-1] == ""

@@ -162,6 +162,23 @@ class TestObjective:
             assert f_val == f_ref
             assert grad.tolist() == grad_ref.tolist()
 
+    @pytest.mark.parametrize("n_rows", [1, 7, 60])
+    def test_batch_rows_equal_single_rows(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        c = rng.uniform(0, 1, 31)
+        tgt = OfdmTarget(c / np.linalg.norm(c), 15, 1.5)
+        betas = rng.uniform(-1.5, 1.5, (60, 8)) / np.sqrt(8)
+        f_all, g_all = objective_and_gradient(betas, tgt, 20)
+        assert f_all.shape == (60,) and g_all.shape == (60, 8)
+        # the last n_rows rows alone, each at another place in its batch
+        f_val, grad = objective_and_gradient(betas[-n_rows:], tgt, 20)
+        assert f_val.tolist() == f_all[-n_rows:].tolist()
+        assert grad.tolist() == g_all[-n_rows:].tolist()
+        for row, beta in enumerate(betas[-n_rows:]):
+            f_one, g_one = objective_and_gradient(beta, tgt, 20)
+            assert abs(f_val[row] - f_one) <= 1e-12 * abs(f_one)
+            assert np.abs(grad[row] - g_one).max() <= 1e-12 * np.abs(g_one).max()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_beta_rejected(self, bad):
         tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
@@ -211,6 +228,33 @@ class TestFit:
         for r in results:
             f_val = objective_and_gradient(r.beta, tgt, cs.order_bound)[0]
             assert r.objective == f_val
+
+    @pytest.mark.parametrize("name", ["clutter_notch", "clutter_peak"])
+    def test_start_does_not_depend_on_n_starts(self, name):
+        # all searches run in one batch, yet start i is bit-for-bit the
+        # same whether 5 or 20 starts share it
+        cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+        for energy in cfg.energy_list[:2]:
+            scenario = cfg.scenario(energy)
+            esd = design_mi(scenario).esd
+            tgt = solve_ofdm_coeffs(esd, scenario.grid, integrate(esd))
+            runs = [
+                fit(tgt, cfg.k_harmonics, cfg.delta, n, 0, scenario=scenario)
+                for n in (5, 20)
+            ]
+            few, many = (sorted(run, key=lambda r: r.start_index) for run in runs)
+            assert few == many[:5]
+
+    def test_line_search_failure_is_abnormal(self, monkeypatch):
+        # no step can meet an Armijo constant above 1, so every search ends
+        # in its first line search, at its start
+        monkeypatch.setattr(fitting, "ARMIJO_C1", 1e6)
+        w = MtsfmWaveform(1.0, 2.0, (1.1, 0.4))
+        cs = coefficients(w)
+        tgt = OfdmTarget(np.sqrt(2.0) * np.abs(cs.coeffs), cs.order_bound, 2.0)
+        for r in fit(tgt, 2, 0.9, 3, 0, order_bound=cs.order_bound):
+            assert r.status.startswith("ABNORMAL: ")
+            assert not r.converged
 
     @staticmethod
     def _assert_every_start_in_slab(results, kappa, delta):
