@@ -77,8 +77,7 @@ def match_rms_bandwidth(
 ) -> LfmWaveform:
     """Find the sweep bandwidth whose chirp ESD has a given RMS bandwidth.
 
-    Scalar root-find over B in [0, W]; a flat ESD over B has second
-    moment B^2/12, so B = sqrt(12)*beta_rms/(2*pi) seeds the bracket.
+    Scalar root-find over B, bracketed by the whole band [0, W].
     Targets above the full-band sweep's RMS bandwidth are unreachable
     (the chirp's soft spectral edges cap the second moment); they clamp
     to the full-band sweep B = W with a warning. The root is found to a

@@ -87,12 +87,17 @@ class ExperimentConfig:
         energies = tuple(float(_finite_real("energy_list", e)) for e in self.energy_list)
         if not energies or any(e <= 0 for e in energies):
             raise ValueError("energy_list must be nonempty with positive values")
+        if len(set(energies)) < len(energies):
+            raise ValueError(f"energy_list must not repeat a value, got {energies}")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "energy_list", energies)
-        object.__setattr__(self, "p_fa_grid", tuple(float(p) for p in self.p_fa_grid))
-        if not all(0 < p < 1 for p in self.p_fa_grid):
-            raise ValueError("p_fa_grid values must lie in (0, 1)")
+        p_fa = tuple(float(_finite_real("p_fa_grid", p)) for p in self.p_fa_grid)
+        if not p_fa or not all(0 < p < 1 for p in p_fa):
+            raise ValueError("p_fa_grid must be nonempty with values in (0, 1)")
+        object.__setattr__(self, "p_fa_grid", p_fa)
         object.__setattr__(self, "noise_params", dict(self.noise_params))
         object.__setattr__(self, "clutter_params", dict(self.clutter_params))
 

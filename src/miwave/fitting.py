@@ -117,14 +117,15 @@ def solve_ofdm_coeffs(
 
 def support_halfwidth(target: OfdmTarget) -> int:
     """Smallest half-width kappa capturing (1 - SUPPORT_TOL) of the
-    coefficient energy around DC."""
+    coefficient energy around DC: the first kappa at which the running
+    sum of c_0^2, then c_k^2 + c_-k^2 for k = 1..half_order, reaches it;
+    half_order if none does."""
     power = target.c**2
-    total = power.sum()
     h = target.half_order
-    for kappa in range(h + 1):
-        if power[h - kappa : h + kappa + 1].sum() >= (1.0 - SUPPORT_TOL) * total:
-            return kappa
-    return h
+    rings = np.concatenate((power[h : h + 1], power[h + 1 :] + power[:h][::-1]))
+    hit = np.cumsum(rings) >= (1.0 - SUPPORT_TOL) * power.sum()
+    kappa = int(np.argmax(hit))
+    return kappa if hit[kappa] else h
 
 
 def _target_power(target: OfdmTarget, order_bound: int) -> np.ndarray:
@@ -187,8 +188,6 @@ def _draw_start(
     rng: np.random.Generator, k_harm: int, kappa: int, delta: float
 ) -> np.ndarray:
     # feasible by construction: sum_k k*beta_k = s*kappa with s in [1-d, 1+d]
-    if kappa == 0:
-        return np.zeros(k_harm)
     u = rng.uniform(0.0, 1.0, k_harm)
     u /= u.sum()
     s = rng.uniform(1.0 - delta, 1.0 + delta)
@@ -213,14 +212,13 @@ def _rows_times(a: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(x, h, target, order_bound):
-    """Indices beta = H x, objective and x-gradient H grad of each row.
+    """Objective at beta = H x and x-gradient H grad of each row.
 
     ``objective_and_gradient`` is looked up at call time, one call per
     batch of rows, so a caller can wrap it to count or time evaluations.
     """
-    beta = _rows_times(x, h)
-    f_val, grad = objective_and_gradient(beta, target, order_bound)
-    return beta, f_val, _rows_times(grad, h)
+    f_val, grad = objective_and_gradient(_rows_times(x, h), target, order_bound)
+    return f_val, _rows_times(grad, h)
 
 
 def _search(x, lo, hi, h, target, order_bound):
@@ -240,16 +238,16 @@ def _search(x, lo, hi, h, target, order_bound):
     Every operation is row-wise, so a row's path does not depend on the
     other rows.
 
-    Returns the final indices beta, objectives and termination messages.
+    Returns the final points x, objectives and termination messages.
     """
     n_rows, k_dim = x.shape
-    out_beta = np.empty_like(x)
+    out_x = np.empty_like(x)
     out_f = np.empty(n_rows)
     out_status = np.empty(n_rows, dtype=object)
 
     x = x.copy()
     x[:, 0] = np.clip(x[:, 0], lo, hi)
-    beta, f, g = _evaluate(x, h, target, order_bound)
+    f, g = _evaluate(x, h, target, order_bound)
     row = np.arange(n_rows)
     s_mem = np.zeros((n_rows, MEMORY, k_dim))  # newest pair last
     y_mem = np.zeros((n_rows, MEMORY, k_dim))
@@ -273,16 +271,14 @@ def _search(x, lo, hi, h, target, order_bound):
         done = stop != ""
         if done.any():
             out_status[row[done]] = stop[done]
-            out_beta[row[done]], out_f[row[done]] = beta[done], f[done]
+            out_x[row[done]], out_f[row[done]] = x[done], f[done]
             keep = ~done
-            row, x, beta, f, g, pg, frozen = (
-                a[keep] for a in (row, x, beta, f, g, pg, frozen)
-            )
+            row, x, f, g, pg, frozen = (a[keep] for a in (row, x, f, g, pg, frozen))
             s_mem, y_mem, sy_mem, u_inv, gamma, iters = (
                 a[keep] for a in (s_mem, y_mem, sy_mem, u_inv, gamma, iters)
             )
             if not row.size:
-                return out_beta, out_f, out_status.tolist()
+                return out_x, out_f, out_status.tolist()
 
         # the two-loop recursion in closed form (Byrd, Nocedal and Schnabel,
         # Math. Prog. 1994): its first loop solves U alpha = S pg, its
@@ -302,18 +298,16 @@ def _search(x, lo, hi, h, target, order_bound):
 
         # Armijo backtracking along the projected path, all rows in one batch;
         # a row whose line search fails keeps its last accepted point
-        x_new, beta_new, f_new, g_new = x.copy(), beta.copy(), f.copy(), g.copy()
+        x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
         pending = np.arange(row.size)
         for _ in range(LINE_SEARCH_STEPS):
             xt = x[pending] + step[pending, None] * d[pending]
             xt[:, 0] = np.clip(xt[:, 0], lo, hi)
-            bt, ft, gt = _evaluate(xt, h, target, order_bound)
+            ft, gt = _evaluate(xt, h, target, order_bound)
             decrease = ARMIJO_C1 * np.sum(g[pending] * (xt - x[pending]), axis=-1)
             ok = ft <= f[pending] + decrease
             took = pending[ok]
-            x_new[took], beta_new[took], f_new[took], g_new[took] = (
-                xt[ok], bt[ok], ft[ok], gt[ok]
-            )
+            x_new[took], f_new[took], g_new[took] = xt[ok], ft[ok], gt[ok]
             pending = pending[~ok]
             if not pending.size:
                 break
@@ -343,7 +337,7 @@ def _search(x, lo, hi, h, target, order_bound):
         reduced = (f - f_new) <= F_TOL * np.maximum(
             np.maximum(np.abs(f), np.abs(f_new)), 1.0
         )
-        x, beta, f, g = x_new, beta_new, f_new, g_new
+        x, f, g = x_new, f_new, g_new
 
 
 def fit(
@@ -354,7 +348,6 @@ def fit(
     seed: int,
     *,
     scenario: Scenario | None = None,
-    order_bound: int | None = None,
 ) -> list[FitResult]:
     """Multistart constrained fit of MTSFM indices to a target spectrum.
 
@@ -385,8 +378,7 @@ def fit(
         raise ValueError("n_starts must be >= 1")
     kappa = support_halfwidth(target)
     lo, hi = (1.0 - delta) * kappa, (1.0 + delta) * kappa
-    if order_bound is None:
-        order_bound = max(target.half_order, int(np.ceil(hi)) + 16)
+    order_bound = max(target.half_order, int(np.ceil(hi)) + 16)
     k_vec = np.arange(1, k_harmonics + 1, dtype=float)
     # x = H beta turns lo <= k.beta <= hi into lo/|k| <= x_1 <= hi/|k|
     h = _slab_reflection(k_vec)
@@ -398,10 +390,11 @@ def fit(
         draws += [
             _draw_start(rng, k_harmonics, kappa, delta) for _ in range(LOCAL_SEARCHES)
         ]
-    betas, f_vals, statuses = _search(
+    xs, f_vals, statuses = _search(
         _rows_times(np.array(draws), h), lo / k_norm, hi / k_norm, h, target,
         order_bound,
     )
+    betas = _rows_times(xs, h)
 
     results: list[FitResult] = []
     for i in range(n_starts):

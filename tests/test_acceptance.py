@@ -217,7 +217,7 @@ def test_criterion_7_planted_recovery():
         cs = coefficients(w)
         tgt = OfdmTarget(np.sqrt(e) * np.abs(cs.coeffs), cs.order_bound, e)
         seed = int(rng.integers(1 << 30))
-        results = fit(tgt, k, 0.9, 20, seed, order_bound=cs.order_bound)
+        results = fit(tgt, k, 0.9, 20, seed)
         if results[0].objective <= 1e-6 * e**2:
             recovered += 1
     elapsed = time.perf_counter() - t0

@@ -78,6 +78,8 @@ class TestConfig:
             smoke_config(tmp_path, energy_list=())
         with pytest.raises(ValueError):
             smoke_config(tmp_path, energy_list=(1.0, -2.0))
+        with pytest.raises(ValueError, match="energy_list must not repeat"):
+            smoke_config(tmp_path, energy_list=(2.0, 2.0))
 
     @pytest.mark.parametrize("field", ["trials", "n_starts", "k_harmonics", "seed"])
     @pytest.mark.parametrize("value", [3.0, "1e5", True])
@@ -86,11 +88,16 @@ class TestConfig:
             smoke_config(tmp_path, **{field: value})
 
     @pytest.mark.parametrize(
-        "p_fa_grid", [(0.1, 1.0), (0.0, 0.1), (-0.1,), (float("nan"),)]
+        "p_fa_grid", [(0.1, 1.0), (0.0, 0.1), (-0.1,), (float("nan"),), (), ("0.1",)]
     )
     def test_rejects_p_fa_outside_unit_interval(self, tmp_path, p_fa_grid):
         with pytest.raises(ValueError, match="p_fa_grid"):
             smoke_config(tmp_path, p_fa_grid=p_fa_grid)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_rejects_negative_seed(self, tmp_path, seed):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            smoke_config(tmp_path, seed=seed)
 
     def test_integer_counts_stored_as_int(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=np.int64(3000), seed=np.int32(4))
@@ -320,6 +327,30 @@ class TestCli:
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
         assert "p_fa_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key, literal, message",
+        [
+            (["design", "--seed", "-1"], None, None, "seed must be >= 0"),
+            (["design"], "seed", "-1", "seed must be >= 0"),
+            (["fit"], "energy_list", "[2.0, 2.0]", "energy_list must not repeat"),
+            (["roc"], "p_fa_grid", "[]", "p_fa_grid must be nonempty"),
+            (["roc"], "p_fa_grid", "['0.1']", "p_fa_grid must be a number"),
+        ],
+        ids=["seed-flag", "seed-key", "repeated-energy", "empty-p_fa", "string-p_fa"],
+    )
+    def test_config_value_errors_write_nothing(
+        self, tmp_path, capsys, argv, key, literal, message
+    ):
+        cfg, path = self._write_cfg(tmp_path)
+        if key is not None:
+            d = cfg.to_dict()
+            del d[key]
+            path.write_text(yaml.safe_dump(d) + f"{key}: {literal}\n")
+        code = main([*argv, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     def test_unbounded_scenario_is_config_error(self, tmp_path, capsys):
         # a clutter notch of depth 1.0 zeroes P_h where the design wants
         # energy; the scenario itself is invalid, so this is a config error
@@ -493,7 +524,7 @@ _ZERO_CHANNEL_CLUTTER = st.one_of(
 def test_design_fuzz_finite_or_config_error(log_energies, duration, wt, clutter):
     # E log-uniform in [1e-4, 1e4], W*T in [2, 500] and clutter with
     # zero-channel bins: either every output is finite, or exit 2 and
-    # nothing is written
+    # nothing is written; a repeated energy is a config error too
     clutter_kind, clutter_params = clutter
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -501,12 +532,12 @@ def test_design_fuzz_finite_or_config_error(log_energies, duration, wt, clutter)
             out,
             band_width=wt / duration,
             duration=duration,
-            energy_list=tuple(10.0**x for x in log_energies),
             clutter_kind=clutter_kind,
             clutter_params=clutter_params,
-        )
+        ).to_dict()
+        cfg["energy_list"] = [10.0**x for x in log_energies]
         path = Path(tmp) / "cfg.yaml"
-        save_config(cfg, path)
+        path.write_text(yaml.safe_dump(cfg))
         code = main(["design", "--config", str(path)])
         assert code in (EXIT_OK, EXIT_CONFIG)
         if code == EXIT_CONFIG:

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from miwave import (
     MtsfmWaveform,
@@ -61,6 +64,35 @@ class TestSolveOfdmCoeffs:
         assert np.sum(tgt.c**2) == pytest.approx(integrate(design.esd), rel=1e-9)
 
 
+def _loop_kappa(target):
+    """Reference half-width: grow a centered slice one bin per side until
+    it holds (1 - SUPPORT_TOL) of the coefficient energy."""
+    power = target.c**2
+    need = (1.0 - fitting.SUPPORT_TOL) * power.sum()
+    h = target.half_order
+    for kappa in range(h + 1):
+        if power[h - kappa : h + kappa + 1].sum() >= need:
+            return kappa
+    return h
+
+
+@st.composite
+def _kappa_targets(draw):
+    """Targets of 1 to 60 orders per side: drawn levels with zero bins and
+    ties, all power on one edge bin, or DC only."""
+    h = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["drawn", "left edge", "right edge", "dc"]))
+    if shape == "drawn":
+        levels = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0)
+        c = draw(arrays(float, 2 * h + 1, elements=levels))
+    else:
+        c = np.zeros(2 * h + 1)
+        c[{"left edge": 0, "right edge": 2 * h, "dc": h}[shape]] = draw(
+            st.floats(0.1, 10.0)
+        )
+    return OfdmTarget(c, h, 1.0)
+
+
 class TestSupportHalfwidth:
     def _delta_target(self, h, hot):
         c = np.zeros(2 * h + 1)
@@ -70,24 +102,29 @@ class TestSupportHalfwidth:
     def test_dc_only(self):
         assert support_halfwidth(self._delta_target(5, 0)) == 0
 
+    def test_no_orders_beyond_dc(self):
+        assert support_halfwidth(OfdmTarget(np.ones(1), 0, 1.0)) == 0
+
     def test_uniform_support(self):
         c = np.zeros(21)
         c[10 - 5 : 10 + 6] = 1.0
         assert support_halfwidth(OfdmTarget(c, 10, 1.0)) == 5
 
+    def test_no_half_width_qualifies(self):
+        # a NaN total fails every comparison, so the fallback answers
+        tgt = OfdmTarget(np.full(7, np.nan), 3, 1.0)
+        assert support_halfwidth(tgt) == _loop_kappa(tgt) == 3
+
     def test_matches_brute_force(self, notch_scenario):
         design = design_mi(notch_scenario)
         grid = notch_scenario.grid
         tgt = solve_ofdm_coeffs(design.esd, grid, notch_scenario.energy)
-        kappa = support_halfwidth(tgt)
-        power = tgt.c**2
-        h = tgt.half_order
-        want = next(
-            k
-            for k in range(h + 1)
-            if power[h - k : h + k + 1].sum() >= 0.99 * power.sum()
-        )
-        assert kappa == want
+        assert support_halfwidth(tgt) == _loop_kappa(tgt)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tgt=_kappa_targets())
+    def test_matches_loop(self, tgt):
+        assert support_halfwidth(tgt) == _loop_kappa(tgt)
 
 
 class TestObjective:
@@ -222,11 +259,14 @@ class TestFit:
         w = MtsfmWaveform(1.0, e, beta_true)
         cs = coefficients(w)
         tgt = OfdmTarget(np.sqrt(e) * np.abs(cs.coeffs), cs.order_bound, e)
-        results = fit(tgt, 2, 0.9, 10, 0, order_bound=cs.order_bound)
+        results = fit(tgt, 2, 0.9, 10, 0)
         assert results[0].objective <= 1e-6 * e**2
-        # the reported objective is the optimizer's own value at beta
+        # the reported objective is the optimizer's own value at beta, at
+        # the fit's order bound
+        hi = (1.0 + 0.9) * support_halfwidth(tgt)
+        order_bound = max(tgt.half_order, int(np.ceil(hi)) + 16)
         for r in results:
-            f_val = objective_and_gradient(r.beta, tgt, cs.order_bound)[0]
+            f_val = objective_and_gradient(r.beta, tgt, order_bound)[0]
             assert r.objective == f_val
 
     @pytest.mark.parametrize("name", ["clutter_notch", "clutter_peak"])
@@ -252,7 +292,7 @@ class TestFit:
         w = MtsfmWaveform(1.0, 2.0, (1.1, 0.4))
         cs = coefficients(w)
         tgt = OfdmTarget(np.sqrt(2.0) * np.abs(cs.coeffs), cs.order_bound, 2.0)
-        for r in fit(tgt, 2, 0.9, 3, 0, order_bound=cs.order_bound):
+        for r in fit(tgt, 2, 0.9, 3, 0):
             assert r.status.startswith("ABNORMAL: ")
             assert not r.converged
 
