@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mtsfm import rms_bandwidth
+from .mtsfm import envelope, rms_bandwidth
 from .spectral import FrequencyGrid, SpectralDensity
 
 __all__ = ["LfmWaveform", "lfm_time_series", "lfm_esd", "match_rms_bandwidth"]
@@ -31,17 +31,11 @@ class LfmWaveform:
 
 def lfm_time_series(w: LfmWaveform, sample_rate: float):
     """Constant-modulus chirp samples; phase pi*B*t^2/T."""
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
     guard = 2.0 * max(w.sweep_bandwidth, 1.0 / w.duration)
-    if sample_rate < guard:
-        raise ValueError(
-            f"sample_rate {sample_rate:.3g} Hz below Nyquist guard {guard:.3g} Hz"
-        )
-    n = max(int(round(sample_rate * w.duration)), 2)
-    t = -w.duration / 2.0 + np.arange(n) * (w.duration / n)
-    phase = np.pi * w.sweep_bandwidth * t**2 / w.duration
-    return t, np.sqrt(w.energy / w.duration) * np.exp(1j * phase)
+    return envelope(
+        w.duration, w.energy, sample_rate, guard,
+        lambda t: np.pi * w.sweep_bandwidth * t**2 / w.duration,
+    )
 
 
 def lfm_esd(w: LfmWaveform, grid: FrequencyGrid) -> SpectralDensity:

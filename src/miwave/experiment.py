@@ -33,7 +33,6 @@ from .spectral import Scenario, as_int, build_parametric_psd, make_grid
 __all__ = [
     "ExperimentConfig",
     "load_config",
-    "save_config",
     "run_experiment",
     "run_roc",
     "emit_esd_table",
@@ -41,6 +40,12 @@ __all__ = [
 ]
 
 _FMT = ".12g"  # fixed float formatting for reproducible output files
+_CELL = "%" + _FMT  # the same, as a float cell of a %-format row
+_FIT_HEADER = [
+    "start_index", "objective", "constraint_value", "d_squared", "converged",
+    "optimizer_status",
+]
+_FIT_FMT = f"%d,{_CELL},{_CELL},{_CELL},%d,%s"
 
 
 def _f(x: float) -> str:
@@ -91,6 +96,13 @@ class ExperimentConfig:
             raise ValueError(f"energy_list must not repeat a value, got {energies}")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        # fit and monte_carlo_roc check these too, but only once they run
+        if self.k_harmonics < 1:
+            raise ValueError("k_harmonics must be >= 1")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must lie in (0, 1)")
+        if self.trials < 1000:
+            raise ValueError("trials must be at least 1000")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "energy_list", energies)
@@ -134,11 +146,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
-
-
 def summarize_boxplot(d2_samples) -> dict:
     """Five-number summary plus 1.5*IQR outliers (type-7 quartiles,
     defined for any nonempty sample)."""
@@ -159,17 +166,12 @@ def summarize_boxplot(d2_samples) -> dict:
     }
 
 
-def _write_fit_csv(path: Path, results) -> None:
+def _write_csv(path: Path, header, fmt: str, rows) -> None:
+    """CSV of a ``header`` line, then one line ``fmt % row`` per row;
+    ``%.12g`` in ``fmt`` prints what :func:`_f` prints."""
     with open(path, "w", newline="") as fh:
-        fh.write(
-            "start_index,objective,constraint_value,d_squared,converged,"
-            "optimizer_status\n"
-        )
-        for r in results:
-            fh.write(
-                f"{r.start_index},{_f(r.objective)},{_f(r.constraint_value)},"
-                f"{_f(r.d_squared_achieved)},{int(r.converged)},{r.status}\n"
-            )
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % tuple(row) + "\n" for row in rows)
 
 
 def emit_esd_table(path: str | Path, grid, noise, clutter, mi_esds, mtsfm_esds) -> None:
@@ -183,13 +185,11 @@ def emit_esd_table(path: str | Path, grid, noise, clutter, mi_esds, mtsfm_esds) 
     header = ["f", "P_n", "P_h"]
     header += [f"E_s_E{_f(e)}" for e in energies]
     header += [f"mtsfm_esd_E{_f(e)}" for e in fitted]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, f_hz in enumerate(grid.bin_freqs):
-            row = [_f(f_hz), _f(noise.values[i]), _f(clutter.values[i])]
-            row += [_f(mi_esds[e].values[i]) for e in energies]
-            row += [_f(mtsfm_esds[e].values[i]) for e in fitted]
-            fh.write(",".join(row) + "\n")
+    columns = [grid.bin_freqs, noise.values, clutter.values]
+    columns += [mi_esds[e].values for e in energies]
+    columns += [mtsfm_esds[e].values for e in fitted]
+    fmt = ",".join([_CELL] * len(columns))
+    _write_csv(path, header, fmt, np.column_stack(columns).tolist())
 
 
 def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tuple:
@@ -257,7 +257,12 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for energy, results in fits.items():
-        _write_fit_csv(out / f"fit_E{_f(energy)}.csv", results)
+        rows = [
+            (r.start_index, r.objective, r.constraint_value, r.d_squared_achieved,
+             r.converged, r.status)
+            for r in results
+        ]
+        _write_csv(out / f"fit_E{_f(energy)}.csv", _FIT_HEADER, _FIT_FMT, rows)
     emit_esd_table(
         out / "esd_table.csv", grid, scene.noise_psd, scene.channel_psd,
         mi_esds, mtsfm_esds,
@@ -296,8 +301,9 @@ def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "roc.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("p_fa,p_d_analytic,p_d_empirical,stderr\n")
-        for (p_fa, p_d), p_hat, se in zip(pairs, mc.p_d, mc.p_d_stderr):
-            fh.write(f"{_f(p_fa)},{_f(p_d)},{_f(p_hat)},{_f(se)}\n")
+    rows = [(*pair, p_hat, se) for pair, p_hat, se in zip(pairs, mc.p_d, mc.p_d_stderr)]
+    _write_csv(
+        path, ["p_fa", "p_d_analytic", "p_d_empirical", "stderr"],
+        ",".join([_CELL] * 4), rows,
+    )
     return path

@@ -28,7 +28,7 @@ import numpy as np
 from . import mtsfm
 from .detection import detection_metric
 from .mtsfm import MtsfmWaveform
-from .spectral import FrequencyGrid, Scenario, SpectralDensity
+from .spectral import FrequencyGrid, Scenario, SpectralDensity, read_only, recentre
 
 __all__ = [
     "OfdmTarget",
@@ -76,9 +76,7 @@ class OfdmTarget:
         c = np.asarray(self.c, dtype=float)
         if c.shape != (2 * self.half_order + 1,):
             raise ValueError("coefficient vector length must be 2*half_order+1")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", read_only(c.copy()))
 
 
 @dataclass(frozen=True)
@@ -128,15 +126,6 @@ def support_halfwidth(target: OfdmTarget) -> int:
     return kappa if hit[kappa] else h
 
 
-def _target_power(target: OfdmTarget, order_bound: int) -> np.ndarray:
-    """c_m^2 on m in [-order_bound, order_bound], zero-padded."""
-    t = np.zeros(2 * order_bound + 1)
-    lo = min(order_bound, target.half_order)
-    h = target.half_order
-    t[order_bound - lo : order_bound + lo + 1] = target.c[h - lo : h + lo + 1] ** 2
-    return t
-
-
 @functools.lru_cache(maxsize=32)
 def _shift_maps(k_max: int, order_bound: int) -> np.ndarray:
     """Indices of c_{m-k} (row 0) and c_{m+k} (row 1) for k = 1..K and
@@ -147,40 +136,34 @@ def _shift_maps(k_max: int, order_bound: int) -> np.ndarray:
     m = np.arange(-order_bound, order_bound + 1)
     k = np.arange(1, k_max + 1)[:, None]
     center = order_bound + k_max
-    maps = np.stack([m - k + center, m + k + center])
-    maps.flags.writeable = False
-    return maps
+    return read_only(np.stack([m - k + center, m + k + center]))
 
 
 def objective_and_gradient(
     beta, target: OfdmTarget, order_bound: int
-) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
-    """Quartic fit objective and its analytic gradient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quartic fit objective and its analytic gradient on orders
+    |m| <= order_bound.
 
-    ``beta`` is one set of indices (K,), giving a float and a (K,)
-    gradient, or a batch (S, K), giving (S,) objectives and (S, K)
-    gradients. Each row's values are bit-for-bit those of the row alone.
-    Uses the coefficient derivative d c_m / d beta_k =
-    -j*(c_{m-k} + c_{m+k})/2, which follows from differentiating
-    exp(j*phi) under the cosine harmonic at index k.
+    ``beta`` is a batch (S, K), one set of indices per row, giving (S,)
+    objectives and (S, K) gradients. Each row's values are bit-for-bit
+    those of the row alone. Uses the coefficient derivative
+    d c_m / d beta_k = -j*(c_{m-k} + c_{m+k})/2, which follows from
+    differentiating exp(j*phi) under the cosine harmonic at index k.
     """
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim not in (1, 2) or beta.shape[-1] < 1 or not np.isfinite(beta).all():
-        raise ValueError("modulation indices must be finite and nonempty")
-    rows = np.atleast_2d(beta)
-    k_max = rows.shape[1]
-    c_ext = mtsfm.raw_coefficients(rows, 1.0, order_bound + k_max)
+    if beta.ndim != 2 or beta.shape[1] < 1 or not np.isfinite(beta).all():
+        raise ValueError("modulation indices must be a finite nonempty (S, K) batch")
+    k_max = beta.shape[1]
+    c_ext = mtsfm.raw_coefficients(beta, 1.0, order_bound + k_max)
     c = c_ext[:, k_max : k_max + 2 * order_bound + 1]
     u = np.abs(c) ** 2
-    t_pow = _target_power(target, order_bound)
-    resid = target.energy * u - t_pow
+    resid = target.energy * u - recentre(target.c**2, order_bound)
     f_val = np.sum(resid**2, axis=-1)
     down, up = _shift_maps(k_max, order_bound)
     pair = c_ext.take(down, axis=1) + c_ext.take(up, axis=1)
     du = np.imag(np.conj(c)[:, None] * pair)
     grad = 2.0 * target.energy * np.sum(resid[:, None] * du, axis=-1)
-    if beta.ndim == 1:
-        return float(f_val[0]), grad[0]
     return f_val, grad
 
 

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FrequencyGrid, SpectralDensity
+from .spectral import FrequencyGrid, SpectralDensity, read_only, recentre
 
 __all__ = [
     "MtsfmWaveform",
     "CoefficientSet",
     "phase",
     "modulation",
+    "envelope",
     "time_series",
     "coefficients",
     "spectrum",
@@ -149,6 +150,24 @@ def max_instantaneous_freq(w: MtsfmWaveform) -> float:
     return w.index_weight / w.duration
 
 
+def envelope(duration, energy, sample_rate, guard, phase_of):
+    """Constant-modulus samples sqrt(E/T)*exp(j*phase_of(t)) at the
+    n = max(round(rate*T), 2) nodes t = -T/2 + i*T/n of [-T/2, T/2).
+
+    Returns ``(t, samples)``. ValueError unless the rate is positive and
+    at least ``guard``, the caller's Nyquist guard in Hz.
+    """
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+    if sample_rate < guard:
+        raise ValueError(
+            f"sample_rate {sample_rate:.3g} Hz below Nyquist guard {guard:.3g} Hz"
+        )
+    n = max(int(round(sample_rate * duration)), 2)
+    t = -duration / 2.0 + np.arange(n) * (duration / n)
+    return t, np.sqrt(energy / duration) * np.exp(1j * phase_of(t))
+
+
 def time_series(w: MtsfmWaveform, sample_rate: float):
     """Complex envelope samples on [-T/2, T/2) at a uniform rate.
 
@@ -156,17 +175,8 @@ def time_series(w: MtsfmWaveform, sample_rate: float):
     rate of the instantaneous-frequency bound (or of 1/T, whichever is
     larger); below that ValueError is raised.
     """
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
-    nyq_guard = 4.0 * max(max_instantaneous_freq(w), 1.0 / w.duration)
-    if sample_rate < nyq_guard:
-        raise ValueError(
-            f"sample_rate {sample_rate:.3g} Hz below Nyquist guard {nyq_guard:.3g} Hz"
-        )
-    n = max(int(round(sample_rate * w.duration)), 2)
-    t = -w.duration / 2.0 + np.arange(n) * (w.duration / n)
-    samples = np.sqrt(w.energy / w.duration) * np.exp(1j * phase(w, t))
-    return t, samples
+    guard = 4.0 * max(max_instantaneous_freq(w), 1.0 / w.duration)
+    return envelope(w.duration, w.energy, sample_rate, guard, lambda t: phase(w, t))
 
 
 def _fft_size(order_bound: int) -> int:
@@ -183,20 +193,15 @@ def _fft_size(order_bound: int) -> int:
     return max(1 << (2 * (2 * order_bound + 1) - 1).bit_length(), 64)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.lru_cache(maxsize=8)
 def _phase_table(duration: float, num_harmonics: int, n: int) -> np.ndarray:
-    """cos(2*pi*k*t/T) at the n FFT nodes t = -T/2 + i*T/n, shape (n, K).
+    """cos(2*pi*k*t/T) at the n FFT nodes of :func:`envelope`, shape (n, K).
 
     Cached and shared by every caller, hence read-only. A fit reads one
     or two tables; the small cache bounds what large K and n retain.
     """
-    t = -duration / 2.0 + np.arange(n) * (duration / n)
-    return _read_only(_harmonic_cosines(t, num_harmonics, duration))
+    t, _ = envelope(duration, 1.0, n / duration, 0.0, np.zeros_like)
+    return read_only(_harmonic_cosines(t, num_harmonics, duration))
 
 
 @functools.lru_cache(maxsize=32)
@@ -204,7 +209,7 @@ def _order_fold(order_bound: int) -> tuple[np.ndarray, np.ndarray]:
     """FFT bin m mod n of each order |m| <= order_bound, and the (-1)^m
     ramp that accounts for the -T/2 origin of the samples; read-only."""
     m = np.arange(-order_bound, order_bound + 1)
-    return _read_only(m % _fft_size(order_bound)), _read_only((-1.0) ** m)
+    return read_only(m % _fft_size(order_bound)), read_only((-1.0) ** m)
 
 
 def raw_coefficients(
@@ -213,43 +218,35 @@ def raw_coefficients(
     """Fourier coefficients c_m, |m| <= order_bound, of exp(j*phi(t)) by
     FFT quadrature of the phase on the cached nodes of :func:`_fft_size`.
 
-    ``beta`` is one set of indices (K,) or a batch (S, K), one set per
-    row, giving coefficients of shape (2B+1,) or (S, 2B+1). The phase
-    sum is the same :func:`_phase_sum` as in :func:`phase`, so each row
-    is bit-for-bit the FFT of the public phase on those nodes, and does
-    not depend on the other rows. The kernel behind :func:`coefficients`
-    and the spectral-fit objective: ``beta`` must be a finite float
-    array with K >= 1, since nothing here validates it.
+    ``beta`` is a batch (S, K), one set of indices per row, and the
+    result has shape (S, 2B+1). The phase sum is the same
+    :func:`_phase_sum` as in :func:`phase`, so each row is bit-for-bit
+    the FFT of the public phase on those nodes, and does not depend on
+    the other rows. The kernel behind :func:`coefficients` and the
+    spectral-fit objective: ``beta`` must be a finite 2-D float array
+    with K >= 1, since nothing here validates it.
     """
     n = _fft_size(order_bound)
-    rows = np.atleast_2d(beta)
-    phi = _phase_sum(_phase_table(duration, rows.shape[1], n), rows)
+    phi = _phase_sum(_phase_table(duration, beta.shape[1], n), beta)
     f = np.fft.fft(np.exp(1j * phi), axis=-1) / n
     fold, ramp = _order_fold(order_bound)
     # take, not f[:, fold], keeps rows contiguous, so that a row-wise sum
     # of the result reduces each row as it would reduce it alone
-    c = f.take(fold, axis=1) * ramp
-    return c if beta.ndim == 2 else c[0]
+    return f.take(fold, axis=1) * ramp
 
 
-def coefficients(w: MtsfmWaveform, order_bound: int | None = None) -> CoefficientSet:
+def coefficients(w: MtsfmWaveform) -> CoefficientSet:
     """Fourier coefficients of exp(j*phi(t)) by dense FFT quadrature.
 
-    With ``order_bound=None`` the truncation grows, ceil(sum_k k*|beta_k|)
-    plus a guard doubling from 16 up to ten times, until the Parseval
-    tail is at most ``TAIL_TOL``. An explicit ``order_bound`` is the one
-    bound tried, since a caller may truncate on purpose. A tail above
-    ``TAIL_TOL`` at the last bound tried only triggers a warning.
+    One truncation policy: the order bound is ceil(sum_k k*|beta_k|)
+    plus a guard that doubles from 16, at most ten bounds, up to the
+    first whose Parseval tail is at most ``TAIL_TOL``. A tail above
+    ``TAIL_TOL`` at the tenth bound only triggers a warning.
     """
-    if order_bound is None:
-        bounds = [math.ceil(w.index_weight) + (16 << i) for i in range(10)]
-    elif order_bound < 1:
-        raise ValueError("order_bound must be >= 1")
-    else:
-        bounds = [order_bound]
-    beta = np.array(w.mod_indices)
-    for bound in bounds:
-        cs = CoefficientSet(raw_coefficients(beta, w.duration, bound), bound)
+    beta = np.array([w.mod_indices])
+    for i in range(10):
+        bound = math.ceil(w.index_weight) + (16 << i)
+        cs = CoefficientSet(raw_coefficients(beta, w.duration, bound)[0], bound)
         if cs.tail_energy <= TAIL_TOL:
             return cs
     warnings.warn(
@@ -278,15 +275,8 @@ def esd_on_grid(w: MtsfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
     """
     if not math.isclose(grid.duration, w.duration, rel_tol=1e-12):
         raise ValueError("grid spacing must equal 1/T of the waveform")
-    coeffs = coefficients(w)
-    values = np.zeros(grid.num_bins)
-    h = grid.half_order
-    lo = min(h, coeffs.order_bound)
-    m = np.arange(-lo, lo + 1)
-    values[m + h] = (
-        w.energy * w.duration * np.abs(coeffs.coeffs[m + coeffs.order_bound]) ** 2
-    )
-    return SpectralDensity(grid, values)
+    power = w.energy * w.duration * np.abs(coefficients(w).coeffs) ** 2
+    return SpectralDensity(grid, recentre(power, grid.half_order))
 
 
 def rms_bandwidth(esd: SpectralDensity, energy: float) -> float:

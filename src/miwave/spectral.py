@@ -37,6 +37,23 @@ def as_int(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, marked read-only: for arrays that frozen containers
+    hold or that caches share."""
+    a.flags.writeable = False
+    return a
+
+
+def recentre(a: np.ndarray, half: int) -> np.ndarray:
+    """A centred array over orders -h..h, cut or zero-padded to orders
+    -half..half: a new array of length 2*half + 1."""
+    h = (a.size - 1) // 2
+    lo = min(h, half)
+    out = np.zeros(2 * half + 1, dtype=a.dtype)
+    out[half - lo : half + lo + 1] = a[h - lo : h + lo + 1]
+    return out
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform baseband frequency grid over an operational band.
@@ -127,9 +144,7 @@ class SpectralDensity:
             raise ValueError("density values must be finite")
         if np.any(v < 0):
             raise ValueError("density values must be nonnegative")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", read_only(v.copy()))
 
 
 def integrate(sd: SpectralDensity) -> float:

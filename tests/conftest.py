@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from miwave import Scenario, SpectralDensity, build_parametric_psd, make_grid
 
@@ -33,6 +34,12 @@ def notch_scenario(small_grid):
         small_grid,
     )
     return Scenario(noise, clutter, 1.0, 2.0)
+
+
+def dump_config(cfg, path):
+    """Write an ExperimentConfig as the YAML mapping load_config reads."""
+    with open(path, "w") as fh:
+        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)
 
 
 def _suite_scenarios():

@@ -31,10 +31,10 @@ from miwave import (
     time_series,
 )
 from miwave.cli import EXIT_OK, main
-from miwave.experiment import load_config, run_experiment, save_config
+from miwave.experiment import load_config, run_experiment
 from miwave.mtsfm import max_instantaneous_freq, phase
 
-from conftest import d2_rows, random_feasible_esd
+from conftest import d2_rows, dump_config, random_feasible_esd
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -114,7 +114,7 @@ def test_criterion_2_flat_case_lambda(flat_unit_scenario):
 def test_criterion_3_coefficient_fidelity():
     ok = True
     for beta in (0.5, 2.0, 5.0):
-        cs = coefficients(MtsfmWaveform(1.0, 1.0, (beta,)), 30)
+        cs = coefficients(MtsfmWaveform(1.0, 1.0, (beta,)))
         for m in range(-20, 21):
             if abs(abs(cs.at(m)) - abs(jv(m, beta))) > 1e-10:
                 ok = False
@@ -278,7 +278,7 @@ def test_criterion_9_determinism(tmp_path):
         }
     )
     path = tmp_path / "cfg.yaml"
-    save_config(cfg, path)
+    dump_config(cfg, path)
     assert main(["fit", "--config", str(path)]) == EXIT_OK
     assert main(["fit", "--config", str(path), "--out", str(tmp_path / "b")]) == EXIT_OK
     ok = True

@@ -21,9 +21,10 @@ from miwave.experiment import (
     load_config,
     run_experiment,
     run_roc,
-    save_config,
     summarize_boxplot,
 )
+
+from conftest import dump_config
 
 
 _DESIGN_KEYS = frozenset(
@@ -61,7 +62,7 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = smoke_config(tmp_path / "out")
         path = tmp_path / "cfg.yaml"
-        save_config(cfg, path)
+        dump_config(cfg, path)
         assert load_config(path) == cfg
 
     def test_rejects_unknown_keys(self, tmp_path):
@@ -99,6 +100,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             smoke_config(tmp_path, seed=seed)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k_harmonics", 0, "k_harmonics must be >= 1"),
+            ("k_harmonics", -3, "k_harmonics must be >= 1"),
+            ("delta", 0.0, "delta must lie in"),
+            ("delta", 1.0, "delta must lie in"),
+            ("delta", -0.2, "delta must lie in"),
+            ("trials", 999, "trials must be at least 1000"),
+            ("trials", 0, "trials must be at least 1000"),
+        ],
+    )
+    def test_rejects_out_of_range_fit_and_roc_fields(
+        self, tmp_path, field, value, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            smoke_config(tmp_path, **{field: value})
+
     def test_integer_counts_stored_as_int(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=np.int64(3000), seed=np.int32(4))
         assert type(cfg.trials) is int and cfg.trials == 3000
@@ -135,6 +154,37 @@ class TestBoxplot:
     def test_too_few(self):
         with pytest.raises(ValueError):
             summarize_boxplot([])
+
+
+# every cell kind the outputs hold: signed zeros, a subnormal, tiny and
+# huge magnitudes, integral floats, and values that need all 12 digits
+_CELLS = [
+    0.0, -0.0, 5e-324, 1e-13, 1e300, 3.0, -17.0, 1e12, 123456789012.0,
+    2.0**53, 0.1, 1.0 / 3.0, np.float64(-2.5e-7), float("inf"), float("nan"),
+]
+
+
+def _cell(x):
+    return format(float(x), ".12g")
+
+
+class TestWriteCsv:
+    def test_float_cells_match_per_cell_format(self, tmp_path):
+        rows = [_CELLS[i : i + 3] for i in range(len(_CELLS) - 2)]
+        path = tmp_path / "t.csv"
+        miwave.experiment._write_csv(path, ["a", "b", "c"], "%.12g,%.12g,%.12g", rows)
+        want = "a,b,c\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()
+
+    def test_fit_row(self, tmp_path):
+        status = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= G_TOL"
+        row = (7, 1.0 / 3.0, -0.0, 5e-324, True, status)
+        path = tmp_path / "fit.csv"
+        experiment = miwave.experiment
+        experiment._write_csv(path, experiment._FIT_HEADER, experiment._FIT_FMT, [row])
+        header, line = path.read_text().splitlines()
+        assert header.split(",")[-2:] == ["converged", "optimizer_status"]
+        assert line == f"7,{_cell(1.0 / 3.0)},-0,{_cell(5e-324)},1,{status}"
 
 
 class TestRunExperiment:
@@ -183,7 +233,9 @@ class TestRunExperiment:
         cfg_b = smoke_config(tmp_path / "b")
         run_experiment(cfg_a)
         run_experiment(cfg_b)
-        for name in ["esd_table.csv", "fit_E0.5.csv", "fit_E2.csv"]:
+        run_roc(cfg_a)
+        run_roc(cfg_b)
+        for name in ["esd_table.csv", "fit_E0.5.csv", "fit_E2.csv", "roc.csv"]:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
@@ -211,7 +263,7 @@ class TestCli:
     def _write_cfg(self, tmp_path, **overrides):
         cfg = smoke_config(tmp_path / "out", **overrides)
         path = tmp_path / "cfg.yaml"
-        save_config(cfg, path)
+        dump_config(cfg, path)
         return cfg, path
 
     def test_design_subcommand(self, tmp_path, capsys):
@@ -335,8 +387,20 @@ class TestCli:
             (["fit"], "energy_list", "[2.0, 2.0]", "energy_list must not repeat"),
             (["roc"], "p_fa_grid", "[]", "p_fa_grid must be nonempty"),
             (["roc"], "p_fa_grid", "['0.1']", "p_fa_grid must be a number"),
+            (["design"], "k_harmonics", "0", "k_harmonics must be >= 1"),
+            (["fit"], "k_harmonics", "0", "k_harmonics must be >= 1"),
+            (["roc"], "k_harmonics", "0", "k_harmonics must be >= 1"),
+            (["design"], "delta", "1.5", "delta must lie in (0, 1)"),
+            (["fit"], "delta", "0.0", "delta must lie in (0, 1)"),
+            (["design"], "trials", "999", "trials must be at least 1000"),
+            (["roc"], "trials", "999", "trials must be at least 1000"),
+            (["roc", "--trials", "999"], None, None, "trials must be at least 1000"),
         ],
-        ids=["seed-flag", "seed-key", "repeated-energy", "empty-p_fa", "string-p_fa"],
+        ids=[
+            "seed-flag", "seed-key", "repeated-energy", "empty-p_fa", "string-p_fa",
+            "k0-design", "k0-fit", "k0-roc", "delta-design", "delta-fit",
+            "trials-design", "trials-roc", "trials-flag",
+        ],
     )
     def test_config_value_errors_write_nothing(
         self, tmp_path, capsys, argv, key, literal, message
@@ -590,7 +654,7 @@ def _fuzz_config(tmp, duration, wt, clutter, **overrides):
         **overrides,
     )
     path = Path(tmp) / "cfg.yaml"
-    save_config(cfg, path)
+    dump_config(cfg, path)
     return out, path
 
 
@@ -621,7 +685,12 @@ def test_roc_fuzz_finite_or_config_error(trials, log_energy, duration, wt, clutt
     # the energy comes through the --energy override, which bypasses the
     # config's energy_list checks
     with tempfile.TemporaryDirectory() as tmp:
-        out, path = _fuzz_config(tmp, duration, wt, clutter, trials=trials)
+        out, path = _fuzz_config(tmp, duration, wt, clutter)
+        # the drawn count goes into the YAML as it is, so that the config
+        # loader, not this test, meets the counts below 1000
+        text = path.read_text()
+        assert "trials: 2000\n" in text
+        path.write_text(text.replace("trials: 2000\n", f"trials: {trials}\n"))
         code = main(["roc", "--config", str(path), "--energy", repr(10.0**log_energy)])
         assert code in (EXIT_OK, EXIT_CONFIG)
         if code == EXIT_CONFIG:

@@ -1,4 +1,3 @@
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +131,7 @@ class TestObjective:
         c = np.zeros(9)
         c[4] = np.sqrt(2.0)
         tgt = OfdmTarget(c, 4, 2.0)
-        f_val = objective_and_gradient(np.zeros(3), tgt, 6)[0]
+        f_val = objective_and_gradient(np.zeros((1, 3)), tgt, 6)[0][0]
         assert f_val == pytest.approx(0.0, abs=1e-20)
 
     def test_uniform_target_closed_form(self):
@@ -141,7 +140,7 @@ class TestObjective:
         e = 3.0
         c = np.full(n, np.sqrt(e / n))
         tgt = OfdmTarget(c, l, e)
-        got = objective_and_gradient(np.zeros(2), tgt, l)[0]
+        got = objective_and_gradient(np.zeros((1, 2)), tgt, l)[0][0]
         expect = e**2 * (1 - 1 / n) ** 2 + 2 * l * e**2 / n**2
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -150,27 +149,24 @@ class TestObjective:
         rng = np.random.default_rng(23)
         c = rng.uniform(0, 1, 31)
         tgt = OfdmTarget(c / np.linalg.norm(c), 15, 1.5)
-        beta = rng.uniform(-0.8, 0.8, k_harm)
+        beta = rng.uniform(-0.8, 0.8, (1, k_harm))
         _, grad = objective_and_gradient(beta, tgt, 20)
         h = 1e-6
         for k in range(k_harm):
-            e_k = np.zeros(k_harm)
-            e_k[k] = h
+            e_k = np.zeros((1, k_harm))
+            e_k[0, k] = h
             fd = (
-                objective_and_gradient(beta + e_k, tgt, 20)[0]
-                - objective_and_gradient(beta - e_k, tgt, 20)[0]
+                objective_and_gradient(beta + e_k, tgt, 20)[0][0]
+                - objective_and_gradient(beta - e_k, tgt, 20)[0][0]
             ) / (2 * h)
-            assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+            assert grad[0, k] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
     @staticmethod
     def _loop_reference(beta, target, order_bound):
-        """The objective from the public coefficient API and one gradient
+        """The objective from the coefficient kernel and one gradient
         component per harmonic, in the same arithmetic order."""
         k_max = len(beta)
-        w = MtsfmWaveform(1.0, 1.0, tuple(beta))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a short truncation is the point
-            ext = coefficients(w, order_bound + k_max).coeffs
+        ext = mtsfm.raw_coefficients(beta[None], 1.0, order_bound + k_max)[0]
         center = order_bound + k_max
         m = np.arange(-order_bound, order_bound + 1)
         c = ext[m + center]
@@ -194,10 +190,10 @@ class TestObjective:
         tgt = OfdmTarget(c / np.linalg.norm(c), 15, 1.5)
         for _ in range(5):
             beta = rng.uniform(-1.5, 1.5, k_harm) / np.sqrt(k_harm)
-            f_val, grad = objective_and_gradient(beta, tgt, order_bound)
+            f_val, grad = objective_and_gradient(beta[None], tgt, order_bound)
             f_ref, grad_ref = self._loop_reference(beta, tgt, order_bound)
-            assert f_val == f_ref
-            assert grad.tolist() == grad_ref.tolist()
+            assert f_val[0] == f_ref
+            assert grad[0].tolist() == grad_ref.tolist()
 
     @pytest.mark.parametrize("n_rows", [1, 7, 60])
     def test_batch_rows_equal_single_rows(self, n_rows):
@@ -212,19 +208,24 @@ class TestObjective:
         assert f_val.tolist() == f_all[-n_rows:].tolist()
         assert grad.tolist() == g_all[-n_rows:].tolist()
         for row, beta in enumerate(betas[-n_rows:]):
-            f_one, g_one = objective_and_gradient(beta, tgt, 20)
-            assert abs(f_val[row] - f_one) <= 1e-12 * abs(f_one)
-            assert np.abs(grad[row] - g_one).max() <= 1e-12 * np.abs(g_one).max()
+            f_one, g_one = objective_and_gradient(beta[None], tgt, 20)
+            assert abs(f_val[row] - f_one[0]) <= 1e-12 * abs(f_one[0])
+            assert np.abs(grad[row] - g_one[0]).max() <= 1e-12 * np.abs(g_one).max()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_beta_rejected(self, bad):
         tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
         with pytest.raises(ValueError):
-            objective_and_gradient(np.array([0.3, bad]), tgt, 4)
+            objective_and_gradient(np.array([[0.3, bad]]), tgt, 4)
+
+    def test_single_row_must_be_a_batch(self):
+        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
+        with pytest.raises(ValueError, match="batch"):
+            objective_and_gradient(np.array([0.3, 0.1]), tgt, 4)
 
     def test_cached_tables_are_read_only(self):
         tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
-        objective_and_gradient(np.array([0.3, 0.1, 0.2]), tgt, 6)
+        objective_and_gradient(np.array([[0.3, 0.1, 0.2]]), tgt, 6)
         cached = [
             mtsfm._phase_table(1.0, 3, mtsfm._fft_size(9)),
             *mtsfm._order_fold(9),
@@ -266,8 +267,8 @@ class TestFit:
         hi = (1.0 + 0.9) * support_halfwidth(tgt)
         order_bound = max(tgt.half_order, int(np.ceil(hi)) + 16)
         for r in results:
-            f_val = objective_and_gradient(r.beta, tgt, order_bound)[0]
-            assert r.objective == f_val
+            f_val = objective_and_gradient(np.array([r.beta]), tgt, order_bound)[0]
+            assert r.objective == f_val[0]
 
     @pytest.mark.parametrize("name", ["clutter_notch", "clutter_peak"])
     def test_start_does_not_depend_on_n_starts(self, name):

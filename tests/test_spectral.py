@@ -11,6 +11,7 @@ from miwave import (
     integrate,
     make_grid,
 )
+from miwave.spectral import recentre
 
 
 class TestGrid:
@@ -79,6 +80,31 @@ class TestSpectralDensity:
     def test_flat_integral(self, small_grid):
         sd = SpectralDensity(small_grid, np.ones(small_grid.num_bins))
         assert integrate(sd) == pytest.approx(small_grid.num_bins * small_grid.spacing)
+
+
+class TestRecentre:
+    # a centred array over orders -h..h: the value at order m is 10*m
+    @staticmethod
+    def _orders(h):
+        return 10.0 * np.arange(-h, h + 1)
+
+    def test_cut(self):
+        assert recentre(self._orders(4), 2).tolist() == self._orders(2).tolist()
+
+    def test_pad(self):
+        got = recentre(self._orders(2), 4)
+        assert got.tolist() == [0.0, 0.0, -20.0, -10.0, 0.0, 10.0, 20.0, 0.0, 0.0]
+
+    def test_equal_size_is_a_copy(self):
+        a = self._orders(3)
+        got = recentre(a, 3)
+        assert got.tolist() == a.tolist() and got is not a
+
+    def test_h_zero(self):
+        assert recentre(np.array([7.0]), 2).tolist() == [0.0, 0.0, 7.0, 0.0, 0.0]
+
+    def test_half_zero(self):
+        assert recentre(self._orders(3) + 1.0, 0).tolist() == [1.0]
 
 
 class TestScenario:
