@@ -18,7 +18,6 @@ from .spectral import (  # noqa: F401
 from .design import MiDesign, design_mi, esd_for_lambda, solve_lambda  # noqa: F401
 from .detection import analytic_roc, detection_metric, monte_carlo_roc  # noqa: F401
 from .mtsfm import (  # noqa: F401
-    CoefficientSet,
     MtsfmWaveform,
     coefficients,
     esd_on_grid,

@@ -4,15 +4,17 @@ Subcommands:
   design  water-fill the MI ESD only and emit the ESD table
   fit     run the full design -> multistart MTSFM fit -> LFM pipeline
   roc     Monte Carlo validation of the analytic ROC
-  report  summarize a fit CSV into quartile statistics
+  report  summarize a fit CSV: d^2 quartiles and the objective of its
+          first row, the start that summary.json calls best
 
 Exit codes: 0 success, 2 config error (including a scene whose design
 would put unbounded energy on a zero-channel bin or whose channel PSD is
 too small for the water level to meet the budget, a non-numeric or
-non-finite scene field, and an output directory that cannot be
-written). A config or design error writes nothing. An RMS-bandwidth
-target the LFM comparator cannot reach is not an error: the comparator
-clamps to a full-band sweep with a warning.
+non-finite scene field, a band_width*duration too large for a float,
+and an output directory that cannot be written). A config or design
+error writes nothing. An RMS-bandwidth target the LFM comparator cannot
+reach is not an error: the comparator clamps to a full-band sweep with a
+warning.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ def _report(fit_csv: str) -> None:
         "n_starts": len(rows),
         "n_converged": converged,
         "d_squared": summarize_boxplot(d2),
-        "best_objective": min(float(r["objective"]) for r in rows),
+        # the file's first row is the best start, as in summary.json
+        "best_objective": float(rows[0]["objective"]),
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

@@ -14,7 +14,7 @@ cumulative sums give the exact water level (Palomar & Fonollosa,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,19 @@ ENERGY_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class MiDesign:
-    """Result of the water-filling design."""
+    """Result of the water-filling design: the ESD and its water level;
+    the energy and active bins are read from the ESD."""
 
     esd: SpectralDensity
     lagrange_lambda: float
-    achieved_energy: float
-    active_set: np.ndarray = field(repr=False)
+
+    @property
+    def achieved_energy(self) -> float:
+        return integrate(self.esd)
+
+    @property
+    def active_set(self) -> np.ndarray:
+        return np.flatnonzero(self.esd.values > 0)
 
 
 def esd_for_lambda(scenario: Scenario, lam: float) -> SpectralDensity:
@@ -97,7 +104,7 @@ def solve_lambda(scenario: Scenario) -> float:
 
 def design_mi(scenario: Scenario) -> MiDesign:
     """Full matched-illumination design: solve the water level, evaluate
-    the ESD, and report the active set. On a bin with a tiny P_h, E_s =
+    the ESD and check its energy. On a bin with a tiny P_h, E_s =
     (mu*s - P_n)/P_h divides the rounding error of mu*s by P_h, so a
     relative miss of the budget above ``ENERGY_RTOL`` raises ValueError."""
     lam = solve_lambda(scenario)
@@ -108,5 +115,4 @@ def design_mi(scenario: Scenario) -> MiDesign:
             f"the design integrates to {energy:.6g}, not the budget E="
             f"{scenario.energy:.6g}: P_h is too small to resolve the water level"
         )
-    active = np.flatnonzero(esd.values > 0)
-    return MiDesign(esd, lam, energy, active)
+    return MiDesign(esd, lam)

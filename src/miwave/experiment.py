@@ -192,6 +192,16 @@ def emit_esd_table(path: str | Path, grid, noise, clutter, mi_esds, mtsfm_esds) 
     _write_csv(path, header, fmt, np.column_stack(columns).tolist())
 
 
+def _design(config: ExperimentConfig, scenario: Scenario):
+    """``design_mi(scenario)``, any error noted with the scene and energy;
+    a note keeps the exception's type and fields, whatever they are."""
+    try:
+        return design_mi(scenario)
+    except Exception as exc:
+        exc.add_note(f"(scenario {config.clutter_kind}, E={scenario.energy:g})")
+        raise
+
+
 def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tuple:
     """Execute the pipeline for every energy in the sweep, then write
     ``esd_table.csv``, ``summary.json`` and, after a fit, ``fit_E*.csv``.
@@ -210,13 +220,7 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
     fits: dict = {}
     for energy in config.energy_list:
         scenario = scene.with_energy(energy)
-        try:
-            design = design_mi(scenario)
-        except Exception as exc:
-            # a note keeps the exception's type and fields, whatever its
-            # constructor takes
-            exc.add_note(f"(scenario {config.clutter_kind}, E={energy:g})")
-            raise
+        design = _design(config, scenario)
         mi_esds[energy] = design.esd
         d2_mi = detection_metric(design.esd, scenario)
         target = solve_ofdm_coeffs(design.esd, grid, design.achieved_energy)
@@ -291,7 +295,7 @@ def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
     only after the Monte Carlo has run."""
     energy = float(energy if energy is not None else config.energy_list[0])
     scenario = config.scenario(energy)
-    design = design_mi(scenario)
+    design = _design(config, scenario)
     d2 = detection_metric(design.esd, scenario)
     s_bins = np.sqrt(design.esd.values)
     mc = monte_carlo_roc(

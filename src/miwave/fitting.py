@@ -65,28 +65,33 @@ LINE_SEARCH_FAILED = "ABNORMAL: NO SUFFICIENT DECREASE ALONG THE SEARCH PATH"
 
 @dataclass(frozen=True)
 class OfdmTarget:
-    """Real multicarrier coefficients of the target spectrum magnitude,
-    indexed by harmonic order m in [-half_order, half_order]."""
+    """Real multicarrier coefficients of the target spectrum magnitude, a
+    centred array ``c`` of odd size; ``half_order`` is derived from it."""
 
     c: np.ndarray = field(repr=False)
-    half_order: int
+    half_order: int = field(init=False)
     energy: float
 
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=float)
-        if c.shape != (2 * self.half_order + 1,):
-            raise ValueError("coefficient vector length must be 2*half_order+1")
+        if c.ndim != 1 or c.size % 2 == 0:
+            raise ValueError(f"c must be 1-D of odd size, got shape {c.shape}")
         object.__setattr__(self, "c", read_only(c.copy()))
+        object.__setattr__(self, "half_order", c.size // 2)
 
 
 @dataclass(frozen=True)
 class FitResult:
     beta: tuple
     objective: float
-    constraint_value: float
     d_squared_achieved: float
     status: str
     start_index: int
+
+    @property
+    def constraint_value(self) -> float:
+        """sum_k k*beta_k: where ``beta`` sits in the support slab."""
+        return float(np.arange(1.0, len(self.beta) + 1) @ np.array(self.beta))
 
     @property
     def converged(self) -> bool:
@@ -110,7 +115,7 @@ def solve_ofdm_coeffs(
     if mi_esd.grid != grid:
         raise ValueError("ESD must live on the supplied grid")
     c = np.sqrt(mi_esd.values / grid.duration)
-    return OfdmTarget(c, grid.half_order, float(energy))
+    return OfdmTarget(c, float(energy))
 
 
 def support_halfwidth(target: OfdmTarget) -> int:
@@ -155,7 +160,7 @@ def objective_and_gradient(
     if beta.ndim != 2 or beta.shape[1] < 1 or not np.isfinite(beta).all():
         raise ValueError("modulation indices must be a finite nonempty (S, K) batch")
     k_max = beta.shape[1]
-    c_ext = mtsfm.raw_coefficients(beta, 1.0, order_bound + k_max)
+    c_ext = mtsfm.raw_coefficients(beta, order_bound + k_max)
     c = c_ext[:, k_max : k_max + 2 * order_bound + 1]
     u = np.abs(c) ** 2
     resid = target.energy * u - recentre(target.c**2, order_bound)
@@ -396,7 +401,6 @@ def fit(
             FitResult(
                 beta=tuple(float(b) for b in beta),
                 objective=float(f_vals[j]),
-                constraint_value=float(k_vec @ beta),
                 d_squared_achieved=d2,
                 status=statuses[j],
                 start_index=i,

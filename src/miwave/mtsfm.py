@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .spectral import FrequencyGrid, SpectralDensity, read_only, recentre
 
 __all__ = [
     "MtsfmWaveform",
-    "CoefficientSet",
     "phase",
     "modulation",
     "envelope",
@@ -31,7 +30,7 @@ __all__ = [
     "rms_bandwidth",
 ]
 
-#: tail energy above which a coefficient set is flagged as truncated
+#: Parseval tail 1 - sum_m |c_m|^2 above which coefficients count as truncated
 TAIL_TOL = 1e-8
 
 
@@ -74,29 +73,6 @@ class MtsfmWaveform:
         return float(
             sum((k + 1) * abs(b) for k, b in enumerate(self.mod_indices))
         )
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Fourier-series coefficients c_m of the unit-modulus phase factor,
-    for orders m in [-order_bound, order_bound]."""
-
-    coeffs: np.ndarray = field(repr=False)
-    order_bound: int
-
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.order_bound, self.order_bound + 1)
-
-    @property
-    def tail_energy(self) -> float:
-        """Unit-energy deficit 1 - sum |c_m|^2 outside the truncation."""
-        return float(max(1.0 - np.sum(np.abs(self.coeffs) ** 2), 0.0))
-
-    def at(self, m: int) -> complex:
-        if abs(m) > self.order_bound:
-            return 0j
-        return complex(self.coeffs[m + self.order_bound])
 
 
 def _check_support(w: MtsfmWaveform, t: np.ndarray) -> None:
@@ -194,40 +170,37 @@ def _fft_size(order_bound: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _phase_table(duration: float, num_harmonics: int, n: int) -> np.ndarray:
-    """cos(2*pi*k*t/T) at the n FFT nodes of :func:`envelope`, shape (n, K).
-
-    Cached and shared by every caller, hence read-only. A fit reads one
-    or two tables; the small cache bounds what large K and n retain.
-    """
-    t, _ = envelope(duration, 1.0, n / duration, 0.0, np.zeros_like)
-    return read_only(_harmonic_cosines(t, num_harmonics, duration))
+def _phase_table(num_harmonics: int, n: int) -> np.ndarray:
+    """cos(2*pi*k*t) at the n FFT nodes t = -1/2 + i/n, shape (n, K): time
+    in units of T, so no duration enters. Cached and shared, hence
+    read-only; a fit reads one or two, and the small cache bounds what
+    large K and n retain."""
+    t = -0.5 + np.arange(n) * (1.0 / n)
+    return read_only(_harmonic_cosines(t, num_harmonics, 1.0))
 
 
 @functools.lru_cache(maxsize=32)
 def _order_fold(order_bound: int) -> tuple[np.ndarray, np.ndarray]:
     """FFT bin m mod n of each order |m| <= order_bound, and the (-1)^m
-    ramp that accounts for the -T/2 origin of the samples; read-only."""
+    ramp that accounts for the -1/2 origin of the nodes; read-only."""
     m = np.arange(-order_bound, order_bound + 1)
     return read_only(m % _fft_size(order_bound)), read_only((-1.0) ** m)
 
 
-def raw_coefficients(
-    beta: np.ndarray, duration: float, order_bound: int
-) -> np.ndarray:
+def raw_coefficients(beta: np.ndarray, order_bound: int) -> np.ndarray:
     """Fourier coefficients c_m, |m| <= order_bound, of exp(j*phi(t)) by
     FFT quadrature of the phase on the cached nodes of :func:`_fft_size`.
 
     ``beta`` is a batch (S, K), one set of indices per row, and the
     result has shape (S, 2B+1). The phase sum is the same
     :func:`_phase_sum` as in :func:`phase`, so each row is bit-for-bit
-    the FFT of the public phase on those nodes, and does not depend on
-    the other rows. The kernel behind :func:`coefficients` and the
-    spectral-fit objective: ``beta`` must be a finite 2-D float array
-    with K >= 1, since nothing here validates it.
+    the FFT of the public phase at T = 1 on those nodes, and depends
+    neither on T nor on the other rows. The kernel behind
+    :func:`coefficients` and the spectral-fit objective: ``beta`` must be
+    a finite 2-D float array with K >= 1, since nothing here checks it.
     """
     n = _fft_size(order_bound)
-    phi = _phase_sum(_phase_table(duration, beta.shape[1], n), beta)
+    phi = _phase_sum(_phase_table(beta.shape[1], n), beta)
     f = np.fft.fft(np.exp(1j * phi), axis=-1) / n
     fold, ramp = _order_fold(order_bound)
     # take, not f[:, fold], keeps rows contiguous, so that a row-wise sum
@@ -235,34 +208,37 @@ def raw_coefficients(
     return f.take(fold, axis=1) * ramp
 
 
-def coefficients(w: MtsfmWaveform) -> CoefficientSet:
-    """Fourier coefficients of exp(j*phi(t)) by dense FFT quadrature.
+def coefficients(w: MtsfmWaveform) -> np.ndarray:
+    """Fourier coefficients c_m of exp(j*phi(t)) by dense FFT quadrature,
+    as a centred array: order m at index m + B for the order bound B.
 
-    One truncation policy: the order bound is ceil(sum_k k*|beta_k|)
-    plus a guard that doubles from 16, at most ten bounds, up to the
-    first whose Parseval tail is at most ``TAIL_TOL``. A tail above
+    One truncation policy: B is ceil(sum_k k*|beta_k|) plus a guard that
+    doubles from 16, at most ten bounds, up to the first whose Parseval
+    tail 1 - sum_m |c_m|^2 is at most ``TAIL_TOL``. A tail above
     ``TAIL_TOL`` at the tenth bound only triggers a warning.
     """
     beta = np.array([w.mod_indices])
     for i in range(10):
         bound = math.ceil(w.index_weight) + (16 << i)
-        cs = CoefficientSet(raw_coefficients(beta, w.duration, bound)[0], bound)
-        if cs.tail_energy <= TAIL_TOL:
-            return cs
+        c = raw_coefficients(beta, bound)[0]
+        tail = max(1.0 - float(np.sum(np.abs(c) ** 2)), 0.0)
+        if tail <= TAIL_TOL:
+            return c
     warnings.warn(
-        f"coefficient tail energy {cs.tail_energy:.2e} exceeds "
+        f"coefficient tail energy {tail:.2e} exceeds "
         f"{TAIL_TOL:.1e} at order bound {bound}",
         stacklevel=2,
     )
-    return cs
+    return c
 
 
-def spectrum(w: MtsfmWaveform, coeffs: CoefficientSet, f) -> np.ndarray | complex:
-    """Truncated multicarrier spectrum sqrt(E*T) * sum_m c_m sinc(T*f - m)."""
+def spectrum(w: MtsfmWaveform, coeffs: np.ndarray, f) -> np.ndarray | complex:
+    """Truncated multicarrier spectrum sqrt(E*T) * sum_m c_m sinc(T*f - m)
+    of the centred coefficients ``coeffs``."""
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    m = coeffs.orders
+    m = np.arange(coeffs.size) - coeffs.size // 2
     args = w.duration * f_arr[:, None] - m[None, :]
-    out = np.sqrt(w.energy * w.duration) * (np.sinc(args) @ coeffs.coeffs)
+    out = np.sqrt(w.energy * w.duration) * (np.sinc(args) @ coeffs)
     return out if np.ndim(f) else complex(out[0])
 
 
@@ -275,7 +251,7 @@ def esd_on_grid(w: MtsfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
     """
     if not math.isclose(grid.duration, w.duration, rel_tol=1e-12):
         raise ValueError("grid spacing must equal 1/T of the waveform")
-    power = w.energy * w.duration * np.abs(coefficients(w).coeffs) ** 2
+    power = w.energy * w.duration * np.abs(coefficients(w)) ** 2
     return SpectralDensity(grid, recentre(power, grid.half_order))
 
 

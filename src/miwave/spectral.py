@@ -3,6 +3,12 @@
 Everything downstream (water-filling, waveform synthesis, detection
 analytics) works on a uniform baseband grid with bin spacing 1/T, so the
 grid and the discrete Riemann integral live here.
+
+Grid values, target and MTSFM coefficients are centred arrays: a 1-D
+array of odd size holds order m at index m + h, with h = (size - 1)//2,
+so its size alone fixes its orders. :class:`FrequencyGrid` derives its
+size from W and T, and :func:`recentre` cuts or pads one centred array
+to another's orders.
 """
 
 from __future__ import annotations
@@ -56,31 +62,31 @@ def recentre(a: np.ndarray, half: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform baseband frequency grid over an operational band.
+    """Uniform baseband frequency grid for a band W (``band_width``, Hz)
+    and a duration T (``duration``, s), which sets the bin spacing 1/T.
 
     Bins sit at f_m = m/T for integer m in [-M/2, M/2], where
-    M = ceil(W*T) rounded up to even so the bin count M+1 is odd and the
-    grid is symmetric about DC.
-
-    Parameters
-    ----------
-    band_width : float
-        Operational bandwidth W in Hz.
-    duration : float
-        Waveform duration T in seconds; sets the bin spacing 1/T.
-    num_bins : int
-        Number of bins, always odd and >= 3.
+    M = ceil(W*T) rounded up to even, at least 2, so ``num_bins`` = M+1
+    is odd and the grid is symmetric about DC. The covered band M/T lies
+    in [W, W + 2/T]. ValueError unless W and T are finite and positive
+    and W*T is finite.
     """
 
     band_width: float
     duration: float
-    num_bins: int
+    num_bins: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.band_width <= 0 or self.duration <= 0:
+        w, t = self.band_width, self.duration
+        if not (math.isfinite(w) and math.isfinite(t)):
+            raise ValueError(f"band_width and duration must be finite, got {w} and {t}")
+        if w <= 0 or t <= 0:
             raise ValueError("band_width and duration must be positive")
-        if self.num_bins < 3 or self.num_bins % 2 == 0:
-            raise ValueError("num_bins must be odd and >= 3")
+        if not math.isfinite(w * t):
+            raise ValueError(f"W*T must be finite, got {w}*{t} = {w * t}")
+        m = math.ceil(w * t)
+        m = max(m + m % 2, 2)
+        object.__setattr__(self, "num_bins", m + 1)
 
     @property
     def spacing(self) -> float:
@@ -105,21 +111,9 @@ class FrequencyGrid:
 
 
 def make_grid(band_width: float, duration: float) -> FrequencyGrid:
-    """Build the frequency grid for a band W and duration T.
-
-    M = ceil(W*T), rounded up to even so the M+1 bins are symmetric
-    about DC. The outermost bins may slightly exceed W/2 (by at most
-    1/T) because of the ceiling; the covered band is M/T in [W, W + 2/T].
-    """
-    if not (math.isfinite(band_width) and math.isfinite(duration)):
-        raise ValueError(
-            f"band_width and duration must be finite, got {band_width} and {duration}"
-        )
-    m = math.ceil(band_width * duration)
-    if m % 2 == 1:
-        m += 1
-    m = max(m, 2)
-    return FrequencyGrid(band_width, duration, m + 1)
+    """The frequency grid for a band W and duration T (see
+    :class:`FrequencyGrid`)."""
+    return FrequencyGrid(band_width, duration)
 
 
 @dataclass(frozen=True)

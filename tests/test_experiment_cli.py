@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,6 +27,8 @@ from miwave.experiment import (
 
 from conftest import dump_config
 
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 _DESIGN_KEYS = frozenset(
     ["energy", "lambda", "kappa", "d2_mi", "d2_lfm", "lfm_sweep_bandwidth"]
@@ -305,6 +308,37 @@ class TestCli:
         assert summary["n_starts"] == cfg.n_starts
         assert "d_squared" in summary
 
+    def test_report_best_objective_is_the_best_start(self, tmp_path, capsys):
+        # on this scene the best start by d^2 (the first row) is not the
+        # one of least objective; report follows summary.json's choice
+        d = yaml.safe_load((CONFIG_DIR / "clutter_peak.yaml").read_text())
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**d, "energy_list": [1.0]}))
+        out = tmp_path / "out"
+        argv = ["fit", "--config", str(path), "--starts", "6", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", str(out / "fit_E1.csv")]) == EXIT_OK
+        reported = json.loads(capsys.readouterr().out)["best_objective"]
+        rows = list(csv.DictReader((out / "fit_E1.csv").read_text().splitlines()))
+        (record,) = json.loads((out / "summary.json").read_text())["records"]
+        assert reported == float(rows[0]["objective"])
+        assert reported == pytest.approx(record["best_objective"], rel=1e-11)
+        assert reported > min(float(r["objective"]) for r in rows)
+
+    @pytest.mark.parametrize("command", ["design", "fit", "roc"])
+    def test_overflowing_grid_is_config_error(self, tmp_path, capsys, command):
+        # W and T are finite, but W*T overflows to inf
+        text = (CONFIG_DIR / "clutter_notch.yaml").read_text()
+        for key in ("band_width", "duration"):
+            text = re.sub(rf"^{key}: .*$", f"{key}: 1.0e+200", text, flags=re.M)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "W*T must be finite" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["design", "--config", str(tmp_path / "nope.yaml")])
         assert code == EXIT_CONFIG
@@ -465,6 +499,14 @@ class TestCli:
         assert main(["design", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "code 7: no design (scenario clutter_notch, E=0.5)" in err
+        # roc designs through the same helper, so its error names the scene too
+        with pytest.raises(CodedError) as info:
+            run_roc(cfg, 2.0)
+        assert info.value.__notes__ == ["(scenario clutter_notch, E=2)"]
+        assert main(["roc", "--config", str(path), "--energy", "2"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "code 7: no design (scenario clutter_notch, E=2)" in err
+        assert not Path(cfg.out_dir).exists()
 
     def test_fit_csv_status_explains_converged(self, tmp_path, monkeypatch):
         # converged is 1 exactly when the optimizer's termination message
@@ -718,7 +760,7 @@ print(" ".join(m for m in ("scipy", "scipy.optimize") if m in sys.modules))
 def test_no_command_imports_scipy(tmp_path, command):
     argv = []
     if command:
-        config = Path(__file__).resolve().parent.parent / "configs" / "clutter_notch.yaml"
+        config = CONFIG_DIR / "clutter_notch.yaml"
         argv = [command[0], "--config", str(config), "--out", str(tmp_path), *command[1:]]
     src = str(Path(miwave.experiment.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -56,6 +56,15 @@ class TestSolveOfdmCoeffs:
         assert np.count_nonzero(tgt.c) == 1
         assert tgt.c[2] == 1.0
 
+    def test_half_order_derived_from_c(self):
+        tgt = OfdmTarget(np.arange(7.0), 1.0)
+        assert tgt.half_order == 3 and tgt.c.tolist() == list(range(7))
+
+    @pytest.mark.parametrize("c", [np.ones((3, 3)), np.ones(4), np.ones(0)])
+    def test_target_rejects_2d_or_even_length(self, c):
+        with pytest.raises(ValueError, match="1-D of odd size"):
+            OfdmTarget(c, 1.0)
+
     def test_energy_bookkeeping(self, notch_scenario):
         design = design_mi(notch_scenario.with_energy(1.0))
         grid = notch_scenario.grid
@@ -89,29 +98,29 @@ def _kappa_targets(draw):
         c[{"left edge": 0, "right edge": 2 * h, "dc": h}[shape]] = draw(
             st.floats(0.1, 10.0)
         )
-    return OfdmTarget(c, h, 1.0)
+    return OfdmTarget(c, 1.0)
 
 
 class TestSupportHalfwidth:
     def _delta_target(self, h, hot):
         c = np.zeros(2 * h + 1)
         c[h + hot] = 1.0
-        return OfdmTarget(c, h, 1.0)
+        return OfdmTarget(c, 1.0)
 
     def test_dc_only(self):
         assert support_halfwidth(self._delta_target(5, 0)) == 0
 
     def test_no_orders_beyond_dc(self):
-        assert support_halfwidth(OfdmTarget(np.ones(1), 0, 1.0)) == 0
+        assert support_halfwidth(OfdmTarget(np.ones(1), 1.0)) == 0
 
     def test_uniform_support(self):
         c = np.zeros(21)
         c[10 - 5 : 10 + 6] = 1.0
-        assert support_halfwidth(OfdmTarget(c, 10, 1.0)) == 5
+        assert support_halfwidth(OfdmTarget(c, 1.0)) == 5
 
     def test_no_half_width_qualifies(self):
         # a NaN total fails every comparison, so the fallback answers
-        tgt = OfdmTarget(np.full(7, np.nan), 3, 1.0)
+        tgt = OfdmTarget(np.full(7, np.nan), 1.0)
         assert support_halfwidth(tgt) == _loop_kappa(tgt) == 3
 
     def test_matches_brute_force(self, notch_scenario):
@@ -130,7 +139,7 @@ class TestObjective:
     def test_exact_match_is_zero(self):
         c = np.zeros(9)
         c[4] = np.sqrt(2.0)
-        tgt = OfdmTarget(c, 4, 2.0)
+        tgt = OfdmTarget(c, 2.0)
         f_val = objective_and_gradient(np.zeros((1, 3)), tgt, 6)[0][0]
         assert f_val == pytest.approx(0.0, abs=1e-20)
 
@@ -139,7 +148,7 @@ class TestObjective:
         n = 2 * l + 1
         e = 3.0
         c = np.full(n, np.sqrt(e / n))
-        tgt = OfdmTarget(c, l, e)
+        tgt = OfdmTarget(c, e)
         got = objective_and_gradient(np.zeros((1, 2)), tgt, l)[0][0]
         expect = e**2 * (1 - 1 / n) ** 2 + 2 * l * e**2 / n**2
         assert got == pytest.approx(expect, rel=1e-12)
@@ -148,7 +157,7 @@ class TestObjective:
     def test_gradient_matches_finite_differences(self, k_harm):
         rng = np.random.default_rng(23)
         c = rng.uniform(0, 1, 31)
-        tgt = OfdmTarget(c / np.linalg.norm(c), 15, 1.5)
+        tgt = OfdmTarget(c / np.linalg.norm(c), 1.5)
         beta = rng.uniform(-0.8, 0.8, (1, k_harm))
         _, grad = objective_and_gradient(beta, tgt, 20)
         h = 1e-6
@@ -166,7 +175,7 @@ class TestObjective:
         """The objective from the coefficient kernel and one gradient
         component per harmonic, in the same arithmetic order."""
         k_max = len(beta)
-        ext = mtsfm.raw_coefficients(beta[None], 1.0, order_bound + k_max)[0]
+        ext = mtsfm.raw_coefficients(beta[None], order_bound + k_max)[0]
         center = order_bound + k_max
         m = np.arange(-order_bound, order_bound + 1)
         c = ext[m + center]
@@ -187,7 +196,7 @@ class TestObjective:
     def test_equals_loop_reference_bit_for_bit(self, k_harm, order_bound):
         rng = np.random.default_rng(100 * k_harm + order_bound)
         c = rng.uniform(0, 1, 31)
-        tgt = OfdmTarget(c / np.linalg.norm(c), 15, 1.5)
+        tgt = OfdmTarget(c / np.linalg.norm(c), 1.5)
         for _ in range(5):
             beta = rng.uniform(-1.5, 1.5, k_harm) / np.sqrt(k_harm)
             f_val, grad = objective_and_gradient(beta[None], tgt, order_bound)
@@ -199,7 +208,7 @@ class TestObjective:
     def test_batch_rows_equal_single_rows(self, n_rows):
         rng = np.random.default_rng(n_rows)
         c = rng.uniform(0, 1, 31)
-        tgt = OfdmTarget(c / np.linalg.norm(c), 15, 1.5)
+        tgt = OfdmTarget(c / np.linalg.norm(c), 1.5)
         betas = rng.uniform(-1.5, 1.5, (60, 8)) / np.sqrt(8)
         f_all, g_all = objective_and_gradient(betas, tgt, 20)
         assert f_all.shape == (60,) and g_all.shape == (60, 8)
@@ -214,20 +223,20 @@ class TestObjective:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_beta_rejected(self, bad):
-        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
+        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
         with pytest.raises(ValueError):
             objective_and_gradient(np.array([[0.3, bad]]), tgt, 4)
 
     def test_single_row_must_be_a_batch(self):
-        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
+        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
         with pytest.raises(ValueError, match="batch"):
             objective_and_gradient(np.array([0.3, 0.1]), tgt, 4)
 
     def test_cached_tables_are_read_only(self):
-        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
+        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
         objective_and_gradient(np.array([[0.3, 0.1, 0.2]]), tgt, 6)
         cached = [
-            mtsfm._phase_table(1.0, 3, mtsfm._fft_size(9)),
+            mtsfm._phase_table(3, mtsfm._fft_size(9)),
             *mtsfm._order_fold(9),
             fitting._shift_maps(3, 6),
         ]
@@ -238,7 +247,7 @@ class TestObjective:
 
 class TestFit:
     def test_input_validation(self):
-        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1, 1.0)
+        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
         with pytest.raises(ValueError):
             fit(tgt, 0, 0.2, 1, 0)
         with pytest.raises(ValueError):
@@ -259,7 +268,7 @@ class TestFit:
         e = 2.0
         w = MtsfmWaveform(1.0, e, beta_true)
         cs = coefficients(w)
-        tgt = OfdmTarget(np.sqrt(e) * np.abs(cs.coeffs), cs.order_bound, e)
+        tgt = OfdmTarget(np.sqrt(e) * np.abs(cs), e)
         results = fit(tgt, 2, 0.9, 10, 0)
         assert results[0].objective <= 1e-6 * e**2
         # the reported objective is the optimizer's own value at beta, at
@@ -292,7 +301,7 @@ class TestFit:
         monkeypatch.setattr(fitting, "ARMIJO_C1", 1e6)
         w = MtsfmWaveform(1.0, 2.0, (1.1, 0.4))
         cs = coefficients(w)
-        tgt = OfdmTarget(np.sqrt(2.0) * np.abs(cs.coeffs), cs.order_bound, 2.0)
+        tgt = OfdmTarget(np.sqrt(2.0) * np.abs(cs), 2.0)
         for r in fit(tgt, 2, 0.9, 3, 0):
             assert r.status.startswith("ABNORMAL: ")
             assert not r.converged
@@ -335,7 +344,7 @@ class TestFit:
         # a DC-only target has kappa = 0; with K = 1 every variable is fixed
         c = np.zeros(11)
         c[5] = 1.0
-        tgt = OfdmTarget(c, 5, 1.0)
+        tgt = OfdmTarget(c, 1.0)
         results = fit(tgt, k_harm, 0.5, 5, 0)
         objs = [r.objective for r in results]
         assert objs == sorted(objs)

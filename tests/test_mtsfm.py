@@ -14,6 +14,7 @@ from miwave import (
 )
 from miwave import mtsfm
 from miwave.mtsfm import max_instantaneous_freq, modulation, phase
+from miwave.spectral import recentre
 
 
 class TestPhaseAndModulation:
@@ -88,27 +89,24 @@ class TestCoefficients:
     def test_zero_beta_is_delta(self):
         w = MtsfmWaveform(1.0, 1.0, (0.0,))
         cs = coefficients(w)
-        expect = np.zeros(2 * cs.order_bound + 1)
-        expect[cs.order_bound] = 1.0
-        np.testing.assert_allclose(cs.coeffs, expect, atol=1e-14)
+        expect = np.zeros(cs.size)
+        expect[cs.size // 2] = 1.0
+        np.testing.assert_allclose(cs, expect, atol=1e-14)
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 5.0])
     def test_single_harmonic_bessel_magnitudes(self, beta):
         # e^{-j beta cos(theta)} expands with coefficients (-j)^m J_m(beta)
         w = MtsfmWaveform(1.0, 1.0, (beta,))
-        cs = coefficients(w)
+        cs = recentre(coefficients(w), 20)
         for m in range(-20, 21):
-            assert abs(abs(cs.at(m)) - abs(jv(m, beta))) < 1e-10
+            assert abs(abs(cs[m + 20]) - abs(jv(m, beta))) < 1e-10
 
     def test_even_phase_gives_symmetric_coeffs(self):
         w = MtsfmWaveform(1.0, 1.0, (1.2, -0.4, 0.9))
         cs = coefficients(w)
-        m = np.arange(1, cs.order_bound + 1)
-        np.testing.assert_allclose(
-            cs.coeffs[cs.order_bound + m],
-            cs.coeffs[cs.order_bound - m],
-            atol=1e-10,
-        )
+        bound = cs.size // 2
+        m = np.arange(1, bound + 1)
+        np.testing.assert_allclose(cs[bound + m], cs[bound - m], atol=1e-10)
 
     def test_parseval_random_draws(self):
         rng = np.random.default_rng(11)
@@ -117,7 +115,7 @@ class TestCoefficients:
             beta = rng.uniform(-4, 4, k)
             w = MtsfmWaveform(1.0, 1.0, tuple(beta))
             cs = coefficients(w)
-            total = np.sum(np.abs(cs.coeffs) ** 2)
+            total = np.sum(np.abs(cs) ** 2)
             assert 1.0 - 1e-8 <= total <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("beta, bound", [(200.0, 232), (1000.0, 1064)])
@@ -125,8 +123,8 @@ class TestCoefficients:
         # guard 16 leaves a tail above TAIL_TOL at these index weights;
         # 200 needs one doubling (200 + 32), 1000 two (1000 + 64)
         cs = coefficients(MtsfmWaveform(1.0, 1.0, (beta,)))
-        assert cs.order_bound == bound
-        assert cs.tail_energy <= mtsfm.TAIL_TOL
+        assert cs.size == 2 * bound + 1
+        assert 1.0 - np.sum(np.abs(cs) ** 2) <= mtsfm.TAIL_TOL
 
     def test_default_bound_warns_after_last_doubling(self, monkeypatch):
         # no tail is below a negative tolerance, so all ten bounds are tried
@@ -134,26 +132,27 @@ class TestCoefficients:
         w = MtsfmWaveform(1.0, 1.0, (2.5,))
         with pytest.warns(UserWarning, match="tail"):
             cs = coefficients(w)
-        assert cs.order_bound == 3 + 16 * 2**9
+        assert cs.size == 2 * (3 + 16 * 2**9) + 1
 
     def test_two_harmonic_convolution_oracle(self):
         # a product of unit-modulus factors has convolved coefficients
         b1, b2 = 1.3, 0.7
-        cs = coefficients(MtsfmWaveform(1.0, 1.0, (b1, b2)))
-        c1 = mtsfm.raw_coefficients(np.array([[b1]]), 1.0, 40)[0]
+        cs = recentre(coefficients(MtsfmWaveform(1.0, 1.0, (b1, b2))), 30)
+        c1 = mtsfm.raw_coefficients(np.array([[b1]]), 40)[0]
         # second factor exp(-j b2 cos(4 pi t/T)) has coefficients only on even
         # orders: order 2n carries the n-th coefficient of a single harmonic
-        c2_half = mtsfm.raw_coefficients(np.array([[b2]]), 1.0, 40)[0]
+        c2_half = mtsfm.raw_coefficients(np.array([[b2]]), 40)[0]
         c2 = np.zeros(161, dtype=complex)
         c2[80 + 2 * np.arange(-40, 41)] = c2_half
         conv = np.convolve(c1, c2)
         center = conv.size // 2
         for m in range(-30, 31):
-            assert abs(cs.at(m) - conv[center + m]) < 1e-8
+            assert abs(cs[m + 30] - conv[center + m]) < 1e-8
 
     def test_kernel_is_fft_of_public_phase(self):
-        # the cached phase table must reproduce phase() on the FFT nodes
-        w = MtsfmWaveform(2.5, 1.0, (0.7, -0.3, 1.1))
+        # the cached phase table must reproduce phase() on the FFT nodes;
+        # the kernel's nodes are in units of T, so it is compared at T = 1
+        w = MtsfmWaveform(1.0, 1.0, (0.7, -0.3, 1.1))
         order_bound = 12
         n = mtsfm._fft_size(order_bound)
         t = -w.duration / 2.0 + np.arange(n) * (w.duration / n)
@@ -161,7 +160,7 @@ class TestCoefficients:
         m = np.arange(-order_bound, order_bound + 1)
         want = f[m % n] * (-1.0) ** m
         beta = np.array([w.mod_indices])
-        got = mtsfm.raw_coefficients(beta, w.duration, order_bound)[0]
+        got = mtsfm.raw_coefficients(beta, order_bound)[0]
         assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("k_harm", [1, 8, 32])
@@ -181,20 +180,22 @@ class TestCoefficients:
             cs = coefficients(w)
             t = -0.5 + np.arange(n_ref) / n_ref
             f = np.fft.fft(np.exp(1j * phase(w, t))) / n_ref
-            m = cs.orders
+            m = np.arange(cs.size) - cs.size // 2
             want = f[m % n_ref] * (-1.0) ** m
-            got = mtsfm.raw_coefficients(beta[None], 1.0, cs.order_bound)[0]
+            got = mtsfm.raw_coefficients(beta[None], cs.size // 2)[0]
             assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_duration_invariance(self):
+        # the kernel's nodes are in units of T, so no duration enters
         beta = (0.9, 0.3)
-        a = coefficients(MtsfmWaveform(1.0, 1.0, beta)).coeffs
-        b = coefficients(MtsfmWaveform(3.5, 1.0, beta)).coeffs
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        a = coefficients(MtsfmWaveform(1.0, 1.0, beta))
+        for duration in (2.5, 3.5):
+            b = coefficients(MtsfmWaveform(duration, 1.0, beta))
+            assert b.tolist() == a.tolist()
 
     def test_default_bound_scales_with_index_weight(self):
         w = MtsfmWaveform(1.0, 1.0, (4.0, 2.0))
-        assert coefficients(w).order_bound == 8 + 16
+        assert coefficients(w).size == 2 * (8 + 16) + 1
 
 
 class TestSpectrum:
@@ -203,7 +204,8 @@ class TestSpectrum:
         cs = coefficients(w)
         for m in (-2, 0, 5):
             s = spectrum(w, cs, m / 2.0)
-            assert s == pytest.approx(np.sqrt(3.0 * 2.0) * cs.at(m), abs=1e-12)
+            want = np.sqrt(3.0 * 2.0) * cs[m + cs.size // 2]
+            assert s == pytest.approx(want, abs=1e-12)
 
     def test_zero_beta_sinc(self):
         w = MtsfmWaveform(1.0, 1.0, (0.0,))
@@ -224,7 +226,7 @@ class TestSpectrum:
         big = np.fft.fftshift(np.fft.fft(x, pad))
         f = np.fft.fftshift(np.fft.fftfreq(pad, dt))
         ref = dt * np.exp(1j * np.pi * f * w.duration) * big
-        keep = np.abs(f) <= 2 * cs.order_bound
+        keep = np.abs(f) <= 2 * (cs.size // 2)
         model = spectrum(w, cs, f[keep])
         err = np.linalg.norm(model - ref[keep]) / np.linalg.norm(ref[keep])
         assert err <= 0.01
@@ -241,9 +243,9 @@ class TestEsdAndBandwidth:
     def test_parseval_with_tail(self):
         grid = make_grid(30.0, 1.0)
         w = MtsfmWaveform(1.0, 1.5, (2.0, 0.5))
-        cs = coefficients(w)
+        tail = 1.0 - np.sum(np.abs(coefficients(w)) ** 2)
         esd = esd_on_grid(w, grid)
-        assert integrate(esd) + 1.5 * cs.tail_energy == pytest.approx(1.5, rel=1e-9)
+        assert integrate(esd) + 1.5 * tail == pytest.approx(1.5, rel=1e-9)
 
     def test_bessel_esd_symmetry(self):
         grid = make_grid(20.0, 1.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,17 +41,38 @@ class TestGrid:
         assert covered <= w + 2.0 / t + 1e-9 * w
         assert grid.num_bins % 2 == 1 and grid.num_bins >= 3
 
+    @given(
+        w=st.floats(0.1, 100.0, allow_nan=False),
+        t=st.floats(0.05, 20.0, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bin_count_is_the_make_grid_rule(self, w, t):
+        # the rule make_grid applied before the grid derived its own size
+        m = math.ceil(w * t)
+        if m % 2 == 1:
+            m += 1
+        assert FrequencyGrid(w, t).num_bins == max(m, 2) + 1
+
+    def test_derived_bin_count_keeps_equality_and_repr(self):
+        grid = FrequencyGrid(10.0, 1.0)
+        assert grid == make_grid(10.0, 1.0)
+        assert repr(grid) == "FrequencyGrid(band_width=10.0, duration=1.0, num_bins=11)"
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             make_grid(-1.0, 1.0)
-        with pytest.raises(ValueError):
+        # the bin count is derived, never passed
+        with pytest.raises(TypeError):
             FrequencyGrid(1.0, 1.0, 4)
 
     @pytest.mark.parametrize(
-        "w, t", [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0), (0.0, np.inf)]
+        "w, t",
+        [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0), (0.0, np.inf), (1e200, 1e200)],
     )
     def test_rejects_non_finite_args(self, w, t):
-        with pytest.raises(ValueError, match="band_width and duration must be finite"):
+        # a finite W and T whose product overflows are named as W*T
+        name = r"W\*T" if np.isfinite([w, t]).all() else "band_width and duration"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             make_grid(w, t)
 
 
