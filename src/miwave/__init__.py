@@ -15,7 +15,13 @@ from .spectral import (  # noqa: F401
     integrate,
     make_grid,
 )
-from .design import MiDesign, design_mi, esd_for_lambda, solve_lambda  # noqa: F401
+from .design import (  # noqa: F401
+    MiDesign,
+    UnboundedAllocationError,
+    design_mi,
+    esd_for_lambda,
+    solve_lambda,
+)
 from .detection import analytic_roc, detection_metric, monte_carlo_roc  # noqa: F401
 from .mtsfm import (  # noqa: F401
     MtsfmWaveform,
@@ -38,4 +44,3 @@ from .baselines import (  # noqa: F401
     lfm_time_series,
     match_rms_bandwidth,
 )
-from .errors import UnboundedAllocationError  # noqa: F401

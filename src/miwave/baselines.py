@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mtsfm import envelope, rms_bandwidth
-from .spectral import FrequencyGrid, SpectralDensity
+from .spectral import FrequencyGrid, SpectralDensity, finite_nonnegative, finite_positive
 
 __all__ = ["LfmWaveform", "lfm_time_series", "lfm_esd", "match_rms_bandwidth"]
 
@@ -23,10 +23,9 @@ class LfmWaveform:
     sweep_bandwidth: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.energy <= 0:
-            raise ValueError("duration and energy must be positive")
-        if self.sweep_bandwidth < 0:
-            raise ValueError("sweep_bandwidth must be nonnegative")
+        finite_positive("duration", self.duration)
+        finite_positive("energy", self.energy)
+        finite_nonnegative("sweep_bandwidth", self.sweep_bandwidth)
 
 
 def lfm_time_series(w: LfmWaveform, sample_rate: float):
@@ -77,9 +76,7 @@ def match_rms_bandwidth(
     to the full-band sweep B = W with a warning. The root is found to a
     relative tolerance of 1e-4 in B.
     """
-    if target_beta_rms < 0:
-        raise ValueError("target RMS bandwidth must be nonnegative")
-    if target_beta_rms == 0:
+    if finite_nonnegative("target_beta_rms", target_beta_rms) == 0:
         return LfmWaveform(duration, energy, 0.0)
 
     def resid(b: float) -> float:

@@ -7,14 +7,8 @@ Subcommands:
   report  summarize a fit CSV: d^2 quartiles and the objective of its
           first row, the start that summary.json calls best
 
-Exit codes: 0 success, 2 config error (including a scene whose design
-would put unbounded energy on a zero-channel bin or whose channel PSD is
-too small for the water level to meet the budget, a non-numeric or
-non-finite scene field, a band_width*duration too large for a float,
-and an output directory that cannot be written). A config or design
-error writes nothing. An RMS-bandwidth target the LFM comparator cannot
-reach is not an error: the comparator clamps to a full-band sweep with a
-warning.
+Exit codes: 0 success, 2 config error; a config error writes nothing.
+README.md ("Command line") lists every config error.
 """
 
 from __future__ import annotations

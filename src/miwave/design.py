@@ -18,13 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnboundedAllocationError
-from .spectral import Scenario, SpectralDensity, integrate
+from .spectral import Scenario, SpectralDensity, finite_positive, integrate
 
-__all__ = ["MiDesign", "esd_for_lambda", "solve_lambda", "design_mi"]
+__all__ = [
+    "MiDesign", "UnboundedAllocationError", "esd_for_lambda", "solve_lambda", "design_mi",
+]
 
 #: relative miss of the energy budget above which a design is refused
 ENERGY_RTOL = 1e-6
+
+
+class UnboundedAllocationError(ValueError):
+    """A zero-channel bin would receive unbounded waveform energy."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,7 @@ def esd_for_lambda(scenario: Scenario, lam: float) -> SpectralDensity:
     positive would receive infinite energy; that raises
     :class:`UnboundedAllocationError`.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    finite_positive("lam", lam)
     p_n = scenario.noise_psd.values
     p_h = scenario.channel_psd.values
     numer = np.sqrt(p_n / lam) - p_n

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Scenario, SpectralDensity, as_int
+from .spectral import Scenario, SpectralDensity, as_int, finite_nonnegative, finite_real
 
 __all__ = [
     "MonteCarloRoc",
@@ -64,13 +64,22 @@ def detection_metric(esd: SpectralDensity, scenario: Scenario) -> float:
 
 def analytic_roc(d_squared: float, p_fa_list) -> list:
     """ROC pairs (p_fa, p_d) with p_d = p_fa**(1/(1+d^2))."""
-    if d_squared < 0:
-        raise ValueError("d_squared must be nonnegative")
+    finite_nonnegative("d_squared", d_squared)
     p_fa = np.asarray(p_fa_list, dtype=float)
-    if np.any(p_fa <= 0) or np.any(p_fa > 1):
+    if not np.all((p_fa > 0) & (p_fa <= 1)):
         raise ValueError("p_fa values must lie in (0, 1]")
     p_d = p_fa ** (1.0 / (1.0 + d_squared))
     return list(zip(p_fa.tolist(), p_d.tolist()))
+
+
+def check_roc_params(trials, p_fa_grid) -> tuple[int, tuple]:
+    """``(trials, p_fa_grid)`` as an int and a tuple of floats; ValueError
+    unless ``trials`` is an integer >= 1000 and ``p_fa_grid`` a nonempty
+    sequence of reals, each in (0, 1)."""
+    p_fa = tuple(float(finite_real("p_fa_grid", p)) for p in p_fa_grid)
+    if not p_fa or not all(0 < p < 1 for p in p_fa):
+        raise ValueError("p_fa_grid must be nonempty with values in (0, 1)")
+    return as_int("trials", trials, 1000), p_fa
 
 
 # rows of one standard-normal draw hold about this many doubles (512 KiB)
@@ -125,17 +134,13 @@ def monte_carlo_roc(
     drawn are those of drawing each block whole, so a seed gives the
     same ROC as that formulation.
     """
-    trials = as_int("trials", trials)
-    if trials < 1000:
-        raise ValueError("trials must be at least 1000")
+    trials, p_fa_grid = check_roc_params(trials, p_fa_grid)
     s = np.asarray(waveform_spectrum_bins, dtype=complex)
     if s.shape != (scenario.grid.num_bins,):
         raise ValueError("waveform spectrum must match the scenario grid")
     if not np.isfinite(s).all():
         raise ValueError("waveform spectrum must be finite")
-    p_fa_grid = np.asarray(p_fa_grid, dtype=float)
-    if np.any(p_fa_grid <= 0) or np.any(p_fa_grid >= 1):
-        raise ValueError("p_fa grid values must lie in (0, 1)")
+    p_fa_grid = np.asarray(p_fa_grid)
 
     rng = np.random.default_rng(seed)
     bin_var = scenario.grid.duration  # PSD -> Fourier-coefficient variance

@@ -14,8 +14,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,10 +23,10 @@ import yaml
 from . import __version__
 from .baselines import match_rms_bandwidth, lfm_esd
 from .design import design_mi
-from .detection import analytic_roc, detection_metric, monte_carlo_roc
-from .fitting import fit, solve_ofdm_coeffs, support_halfwidth
+from .detection import analytic_roc, check_roc_params, detection_metric, monte_carlo_roc
+from .fitting import check_fit_params, fit, solve_ofdm_coeffs, support_halfwidth
 from .mtsfm import MtsfmWaveform, esd_on_grid, rms_bandwidth
-from .spectral import Scenario, as_int, build_parametric_psd, make_grid
+from .spectral import Scenario, build_parametric_psd, finite_positive, finite_real, make_grid
 
 __all__ = [
     "ExperimentConfig",
@@ -52,15 +50,6 @@ def _f(x: float) -> str:
     return format(float(x), _FMT)
 
 
-def _finite_real(name: str, value):
-    """``value`` unchanged; ``ValueError`` unless a finite non-bool real."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -82,36 +71,27 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for name in ("k_harmonics", "n_starts", "seed", "trials"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         # stored unchanged, so integer-valued YAML keeps its content hash
-        for name in ("band_width", "duration", "target_variance", "delta"):
-            _finite_real(name, getattr(self, name))
+        for name in ("band_width", "duration", "target_variance"):
+            finite_real(name, getattr(self, name))
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        energies = tuple(float(_finite_real("energy_list", e)) for e in self.energy_list)
-        if not energies or any(e <= 0 for e in energies):
-            raise ValueError("energy_list must be nonempty with positive values")
+        energies = tuple(float(finite_real("energy_list", e)) for e in self.energy_list)
+        if not energies:
+            raise ValueError("energy_list must be nonempty")
+        for e in energies:
+            finite_positive("energy_list", e)
         if len(set(energies)) < len(energies):
             raise ValueError(f"energy_list must not repeat a value, got {energies}")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
-        # fit and monte_carlo_roc check these too, but only once they run
-        if self.k_harmonics < 1:
-            raise ValueError("k_harmonics must be >= 1")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.trials < 1000:
-            raise ValueError("trials must be at least 1000")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "energy_list", energies)
-        p_fa = tuple(float(_finite_real("p_fa_grid", p)) for p in self.p_fa_grid)
-        if not p_fa or not all(0 < p < 1 for p in p_fa):
-            raise ValueError("p_fa_grid must be nonempty with values in (0, 1)")
-        object.__setattr__(self, "p_fa_grid", p_fa)
-        object.__setattr__(self, "noise_params", dict(self.noise_params))
-        object.__setattr__(self, "clutter_params", dict(self.clutter_params))
+        # the rules of fit and monte_carlo_roc, checked before anything runs
+        k, _, n, seed = check_fit_params(self.k_harmonics, self.delta, self.n_starts, self.seed)
+        trials, p_fa = check_roc_params(self.trials, self.p_fa_grid)
+        for name, value in dict(
+            k_harmonics=k, n_starts=n, seed=seed, trials=trials, energy_list=energies,
+            p_fa_grid=p_fa, noise_params=dict(self.noise_params),
+            clutter_params=dict(self.clutter_params),
+        ).items():
+            object.__setattr__(self, name, value)
 
     def scenario(self, energy: float) -> Scenario:
         grid = make_grid(self.band_width, self.duration)

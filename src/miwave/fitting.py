@@ -28,7 +28,9 @@ import numpy as np
 from . import mtsfm
 from .detection import detection_metric
 from .mtsfm import MtsfmWaveform
-from .spectral import FrequencyGrid, Scenario, SpectralDensity, read_only, recentre
+from .spectral import (
+    FrequencyGrid, Scenario, SpectralDensity, as_int, finite_real, read_only, recentre,
+)
 
 __all__ = [
     "OfdmTarget",
@@ -328,6 +330,16 @@ def _search(x, lo, hi, h, target, order_bound):
         x, f, g = x_new, f_new, g_new
 
 
+def check_fit_params(k_harmonics, delta, n_starts, seed) -> tuple:
+    """The fit parameters in order, counts and seed as ints; ValueError
+    unless k_harmonics and n_starts are integers >= 1, seed an integer
+    >= 0 and delta a real in (0, 1)."""
+    if not 0 < finite_real("delta", delta) < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    return (as_int("k_harmonics", k_harmonics, 1), delta,
+            as_int("n_starts", n_starts, 1), as_int("seed", seed, 0))
+
+
 def fit(
     target: OfdmTarget,
     k_harmonics: int,
@@ -358,12 +370,9 @@ def fit(
     on the scenario grid and the list is sorted by it, best first;
     otherwise by objective value. Ties go to the lower start index.
     """
-    if k_harmonics < 1:
-        raise ValueError("k_harmonics must be >= 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+    k_harmonics, delta, n_starts, seed = check_fit_params(
+        k_harmonics, delta, n_starts, seed
+    )
     kappa = support_halfwidth(target)
     lo, hi = (1.0 - delta) * kappa, (1.0 + delta) * kappa
     order_bound = max(target.half_order, int(np.ceil(hi)) + 16)
@@ -374,7 +383,7 @@ def fit(
 
     draws = []
     for i in range(n_starts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         draws += [
             _draw_start(rng, k_harmonics, kappa, delta) for _ in range(LOCAL_SEARCHES)
         ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyGrid, SpectralDensity, read_only, recentre
+from .spectral import FrequencyGrid, SpectralDensity, finite_positive, read_only, recentre
 
 __all__ = [
     "MtsfmWaveform",
@@ -53,8 +53,8 @@ class MtsfmWaveform:
     mod_indices: tuple
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.energy <= 0:
-            raise ValueError("duration and energy must be positive")
+        finite_positive("duration", self.duration)
+        finite_positive("energy", self.energy)
         beta = tuple(float(b) for b in self.mod_indices)
         if len(beta) < 1:
             raise ValueError("at least one modulation index is required")
@@ -130,12 +130,10 @@ def envelope(duration, energy, sample_rate, guard, phase_of):
     """Constant-modulus samples sqrt(E/T)*exp(j*phase_of(t)) at the
     n = max(round(rate*T), 2) nodes t = -T/2 + i*T/n of [-T/2, T/2).
 
-    Returns ``(t, samples)``. ValueError unless the rate is positive and
-    at least ``guard``, the caller's Nyquist guard in Hz.
+    Returns ``(t, samples)``. ValueError unless the rate is finite,
+    positive and at least ``guard``, the caller's Nyquist guard in Hz.
     """
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
-    if sample_rate < guard:
+    if finite_positive("sample_rate", sample_rate) < guard:
         raise ValueError(
             f"sample_rate {sample_rate:.3g} Hz below Nyquist guard {guard:.3g} Hz"
         )
@@ -257,8 +255,7 @@ def esd_on_grid(w: MtsfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
 
 def rms_bandwidth(esd: SpectralDensity, energy: float) -> float:
     """RMS bandwidth sqrt((2*pi)^2/E * integral f^2 ESD df), in rad/s."""
-    if energy <= 0:
-        raise ValueError("energy must be positive")
+    finite_positive("energy", energy)
     f = esd.grid.bin_freqs
     second_moment = np.sum(f**2 * esd.values) * esd.grid.spacing
     return float(2.0 * np.pi * np.sqrt(second_moment / energy))

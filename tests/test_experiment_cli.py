@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import miwave.experiment
 import miwave.fitting
-from miwave import design_mi, detection_metric
+from miwave import OfdmTarget, design_mi, detection_metric, fit, monte_carlo_roc
 from miwave.cli import EXIT_CONFIG, EXIT_OK, main
 from miwave.experiment import (
     ExperimentConfig,
@@ -24,6 +24,7 @@ from miwave.experiment import (
     run_roc,
     summarize_boxplot,
 )
+from miwave.spectral import MAX_BINS
 
 from conftest import dump_config
 
@@ -111,8 +112,8 @@ class TestConfig:
             ("delta", 0.0, "delta must lie in"),
             ("delta", 1.0, "delta must lie in"),
             ("delta", -0.2, "delta must lie in"),
-            ("trials", 999, "trials must be at least 1000"),
-            ("trials", 0, "trials must be at least 1000"),
+            ("trials", 999, "trials must be >= 1000"),
+            ("trials", 0, "trials must be >= 1000"),
         ],
     )
     def test_rejects_out_of_range_fit_and_roc_fields(
@@ -120,6 +121,31 @@ class TestConfig:
     ):
         with pytest.raises(ValueError, match=message):
             smoke_config(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k_harmonics", 0), ("k_harmonics", 2.5), ("delta", 1.5),
+            ("delta", float("nan")), ("n_starts", 0), ("n_starts", 2.5),
+            ("trials", 999), ("trials", 1e5), ("p_fa_grid", ()),
+            ("p_fa_grid", (float("nan"),)), ("p_fa_grid", (0.1, 1.0)),
+        ],
+    )
+    def test_config_and_library_refuse_alike(self, tmp_path, field, value):
+        # the config calls the owners of the fit and ROC rules
+        fit_args = dict(k_harmonics=4, delta=0.2, n_starts=1, seed=0)
+        scene = smoke_config(tmp_path).scenario(1.0)
+        with pytest.raises(ValueError) as lib:
+            if field in fit_args:
+                target = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
+                fit(target, **{**fit_args, field: value})
+            else:
+                roc_args = {**dict(trials=2000, p_fa_grid=(0.1,)), field: value}
+                monte_carlo_roc(np.ones(scene.grid.num_bins), scene, seed=0, **roc_args)
+        with pytest.raises(ValueError) as cfg:
+            smoke_config(tmp_path, **{field: value})
+        assert str(cfg.value) == str(lib.value)
+        assert field in str(lib.value)
 
     def test_integer_counts_stored_as_int(self, tmp_path):
         cfg = smoke_config(tmp_path, trials=np.int64(3000), seed=np.int32(4))
@@ -326,6 +352,17 @@ class TestCli:
         assert reported == pytest.approx(record["best_objective"], rel=1e-11)
         assert reported > min(float(r["objective"]) for r in rows)
 
+    def test_grid_above_cap_is_config_error(self, tmp_path, capsys):
+        # one bin over the cap: refused before any array is made
+        text = (CONFIG_DIR / "clutter_notch.yaml").read_text()
+        text = re.sub(r"^band_width: .*$", f"band_width: {MAX_BINS}", text, flags=re.M)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        code = main(["design", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"W*T must be finite and at most {MAX_BINS - 1}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
     @pytest.mark.parametrize("command", ["design", "fit", "roc"])
     def test_overflowing_grid_is_config_error(self, tmp_path, capsys, command):
         # W and T are finite, but W*T overflows to inf
@@ -426,9 +463,9 @@ class TestCli:
             (["roc"], "k_harmonics", "0", "k_harmonics must be >= 1"),
             (["design"], "delta", "1.5", "delta must lie in (0, 1)"),
             (["fit"], "delta", "0.0", "delta must lie in (0, 1)"),
-            (["design"], "trials", "999", "trials must be at least 1000"),
-            (["roc"], "trials", "999", "trials must be at least 1000"),
-            (["roc", "--trials", "999"], None, None, "trials must be at least 1000"),
+            (["design"], "trials", "999", "trials must be >= 1000"),
+            (["roc"], "trials", "999", "trials must be >= 1000"),
+            (["roc", "--trials", "999"], None, None, "trials must be >= 1000"),
         ],
         ids=[
             "seed-flag", "seed-key", "repeated-energy", "empty-p_fa", "string-p_fa",

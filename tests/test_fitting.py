@@ -255,6 +255,16 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(tgt, 2, 0.2, 0, 0)
 
+    @pytest.mark.parametrize(
+        "param, value", [("k_harmonics", 2.5), ("n_starts", 2.5), ("seed", 1.5)]
+    )
+    def test_refuses_non_integer_counts(self, param, value):
+        # seed=1.5 used to run as seed 1
+        args = dict(k_harmonics=2, delta=0.2, n_starts=1, seed=0)
+        tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
+        with pytest.raises(ValueError, match=f"{param} must be an integer, got {value}"):
+            fit(tgt, **{**args, param: value})
+
     def test_deterministic(self, notch_scenario):
         design = design_mi(notch_scenario)
         grid = notch_scenario.grid

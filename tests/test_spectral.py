@@ -13,10 +13,18 @@ from miwave import (
     integrate,
     make_grid,
 )
-from miwave.spectral import recentre
+from miwave.spectral import MAX_BINS, recentre
 
 
 class TestGrid:
+    def test_bin_cap(self):
+        # the refusal comes before any array is made
+        assert make_grid(MAX_BINS - 1.0, 1.0).num_bins == MAX_BINS
+        assert make_grid((MAX_BINS - 1) / 4.0, 4.0).num_bins == MAX_BINS
+        for w in (MAX_BINS - 0.5, 1.0e9):
+            with pytest.raises(ValueError, match=r"W\*T must be finite and at most"):
+                make_grid(w, 1.0)
+
     def test_bin_layout(self):
         grid = make_grid(10.0, 1.0)
         assert grid.num_bins == 11
@@ -70,8 +78,10 @@ class TestGrid:
         [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0), (0.0, np.inf), (1e200, 1e200)],
     )
     def test_rejects_non_finite_args(self, w, t):
-        # a finite W and T whose product overflows are named as W*T
-        name = r"W\*T" if np.isfinite([w, t]).all() else "band_width and duration"
+        # the first argument that is not finite and positive is named; a
+        # finite W and T whose product overflows are named as W*T
+        bad = [n for n, v in (("band_width", w), ("duration", t)) if not 0 < v < np.inf]
+        name = bad[0] if bad else r"W\*T"
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make_grid(w, t)
 
