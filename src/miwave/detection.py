@@ -135,6 +135,7 @@ def monte_carlo_roc(
     same ROC as that formulation.
     """
     trials, p_fa_grid = check_roc_params(trials, p_fa_grid)
+    seed = as_int("seed", seed, 0)
     s = np.asarray(waveform_spectrum_bins, dtype=complex)
     if s.shape != (scenario.grid.num_bins,):
         raise ValueError("waveform spectrum must match the scenario grid")

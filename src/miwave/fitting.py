@@ -20,7 +20,6 @@ step, in numpy alone: no runtime dependency beyond numpy.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,8 @@ from . import mtsfm
 from .detection import detection_metric
 from .mtsfm import MtsfmWaveform
 from .spectral import (
-    FrequencyGrid, Scenario, SpectralDensity, as_int, finite_real, read_only, recentre,
+    FrequencyGrid, Scenario, SpectralDensity, as_int, finite_positive, finite_real,
+    read_only, recentre,
 )
 
 __all__ = [
@@ -67,14 +67,15 @@ LINE_SEARCH_FAILED = "ABNORMAL: NO SUFFICIENT DECREASE ALONG THE SEARCH PATH"
 
 @dataclass(frozen=True)
 class OfdmTarget:
-    """Real multicarrier coefficients of the target spectrum magnitude, a
-    centred array ``c`` of odd size; ``half_order`` is derived from it."""
+    """Target spectrum magnitude as real multicarrier coefficients, a centred
+    array ``c`` of odd size (``half_order`` derived), and ``energy`` > 0."""
 
     c: np.ndarray = field(repr=False)
     half_order: int = field(init=False)
     energy: float
 
     def __post_init__(self) -> None:
+        finite_positive("energy", self.energy)
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError(f"c must be 1-D of odd size, got shape {c.shape}")
@@ -133,44 +134,35 @@ def support_halfwidth(target: OfdmTarget) -> int:
     return kappa if hit[kappa] else h
 
 
-@functools.lru_cache(maxsize=32)
-def _shift_maps(k_max: int, order_bound: int) -> np.ndarray:
-    """Indices of c_{m-k} (row 0) and c_{m+k} (row 1) for k = 1..K and
-    |m| <= order_bound, into coefficients of order bound order_bound + K.
-
-    Cached and shared by every caller, hence read-only.
-    """
-    m = np.arange(-order_bound, order_bound + 1)
-    k = np.arange(1, k_max + 1)[:, None]
-    center = order_bound + k_max
-    return read_only(np.stack([m - k + center, m + k + center]))
-
-
 def objective_and_gradient(
     beta, target: OfdmTarget, order_bound: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quartic fit objective and its analytic gradient on orders
-    |m| <= order_bound.
+    """Quartic fit objective and its gradient on orders |m| <= order_bound.
 
     ``beta`` is a batch (S, K), one set of indices per row, giving (S,)
-    objectives and (S, K) gradients. Each row's values are bit-for-bit
-    those of the row alone. Uses the coefficient derivative
-    d c_m / d beta_k = -j*(c_{m-k} + c_{m+k})/2, which follows from
-    differentiating exp(j*phi) under the cosine harmonic at index k.
+    objectives and (S, K) gradients, each row's bit-for-bit those of the
+    row alone. The gradient is exact for the quadrature objective, in the
+    adjoint form of phase retrieval (Candes, Li and Soltanolkotabi,
+    "Phase retrieval via Wirtinger flow", IEEE Trans. IT 2015): with the
+    nodes t_i and samples x_i of :func:`mtsfm.quadrature` and residuals
+    r_m = E*|c_m|^2 - c_tgt,m^2, dF/d beta_k = (4E/n) sum_i cos(2*pi*k*t_i)
+    Im(x_i conj(R_i)), where R_i = sum_m r_m c_m exp(j*2*pi*m*t_i) is n
+    times one inverse FFT of r_m c_m (-1)^m at bin m mod n.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2 or beta.shape[1] < 1 or not np.isfinite(beta).all():
         raise ValueError("modulation indices must be a finite nonempty (S, K) batch")
     k_max = beta.shape[1]
-    c_ext = mtsfm.raw_coefficients(beta, order_bound + k_max)
-    c = c_ext[:, k_max : k_max + 2 * order_bound + 1]
-    u = np.abs(c) ** 2
-    resid = target.energy * u - recentre(target.c**2, order_bound)
+    x, c = mtsfm.quadrature(beta, order_bound, k_max)
+    n = x.shape[1]
+    resid = target.energy * np.abs(c) ** 2 - recentre(target.c**2, order_bound)
     f_val = np.sum(resid**2, axis=-1)
-    down, up = _shift_maps(k_max, order_bound)
-    pair = c_ext.take(down, axis=1) + c_ext.take(up, axis=1)
-    du = np.imag(np.conj(c)[:, None] * pair)
-    grad = 2.0 * target.energy * np.sum(resid[:, None] * du, axis=-1)
+    fold, ramp = mtsfm._order_fold(order_bound, n)
+    spread = np.zeros(x.shape, dtype=complex)
+    spread[:, fold] = resid * c * ramp
+    im = np.imag(x * np.conj(np.fft.ifft(spread, axis=-1)))
+    # an einsum, so that a row's gradient does not depend on the other rows
+    grad = 4.0 * target.energy * np.einsum("ik,si->sk", mtsfm._phase_table(k_max, n), im)
     return f_val, grad
 
 

@@ -153,8 +153,9 @@ def time_series(w: MtsfmWaveform, sample_rate: float):
     return envelope(w.duration, w.energy, sample_rate, guard, lambda t: phase(w, t))
 
 
-def _fft_size(order_bound: int) -> int:
-    """Smallest power of two n >= 2*(2B+1), at least 64, for order bound B.
+def _fft_size(order_bound: int, reach: int = 0) -> int:
+    """Smallest power of two n >= 4B + reach + 2, at least 64, for order
+    bound B.
 
     The n-point trapezoid rule on a smooth periodic integrand errs only
     by aliasing: it returns c_m + sum_{j != 0} c_{m+j*n} (Trefethen and
@@ -162,9 +163,10 @@ def _fft_size(order_bound: int) -> int:
     |m| <= B comes from an order |m + j*n| >= n - B >= 3B+2. Callers put
     B at least 16 orders past the index weight sum_k k*|beta_k|, beyond
     which the coefficients decay like Bessel values, so those aliases are
-    at rounding level.
+    at rounding level. A gradient over beta_k, k <= K, reads the orders
+    m -+ k, aliased from n - B - K on; ``reach`` = K keeps that 3B+2 too.
     """
-    return max(1 << (2 * (2 * order_bound + 1) - 1).bit_length(), 64)
+    return max(1 << (4 * order_bound + reach + 1).bit_length(), 64)
 
 
 @functools.lru_cache(maxsize=8)
@@ -178,32 +180,35 @@ def _phase_table(num_harmonics: int, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _order_fold(order_bound: int) -> tuple[np.ndarray, np.ndarray]:
+def _order_fold(order_bound: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """FFT bin m mod n of each order |m| <= order_bound, and the (-1)^m
     ramp that accounts for the -1/2 origin of the nodes; read-only."""
     m = np.arange(-order_bound, order_bound + 1)
-    return read_only(m % _fft_size(order_bound)), read_only((-1.0) ** m)
+    return read_only(m % n), read_only((-1.0) ** m)
+
+
+def quadrature(beta: np.ndarray, order_bound: int, reach: int = 0) -> tuple:
+    """Samples x_i = exp(j*phi(t_i)) at the n = ``_fft_size(order_bound,
+    reach)`` nodes t_i = -1/2 + i/n, shape (S, n), and by FFT their
+    coefficients c_m = (1/n) sum_i x_i exp(-j*2*pi*m*t_i), |m| <= B,
+    shape (S, 2B+1), for a batch ``beta`` (S, K).
+
+    The phase sum is the same :func:`_phase_sum` as in :func:`phase`, so
+    each row is bit-for-bit the FFT of the public phase at T = 1 on those
+    nodes, and depends neither on T nor on the other rows. ``beta`` must
+    be a finite 2-D float array with K >= 1, since nothing here checks it.
+    """
+    n = _fft_size(order_bound, reach)
+    x = np.exp(1j * _phase_sum(_phase_table(beta.shape[1], n), beta))
+    fold, ramp = _order_fold(order_bound, n)
+    # take, not [:, fold] indexing, keeps rows contiguous, so that a
+    # row-wise sum of the result reduces each row as it would reduce it alone
+    return x, (np.fft.fft(x, axis=-1) / n).take(fold, axis=1) * ramp
 
 
 def raw_coefficients(beta: np.ndarray, order_bound: int) -> np.ndarray:
-    """Fourier coefficients c_m, |m| <= order_bound, of exp(j*phi(t)) by
-    FFT quadrature of the phase on the cached nodes of :func:`_fft_size`.
-
-    ``beta`` is a batch (S, K), one set of indices per row, and the
-    result has shape (S, 2B+1). The phase sum is the same
-    :func:`_phase_sum` as in :func:`phase`, so each row is bit-for-bit
-    the FFT of the public phase at T = 1 on those nodes, and depends
-    neither on T nor on the other rows. The kernel behind
-    :func:`coefficients` and the spectral-fit objective: ``beta`` must be
-    a finite 2-D float array with K >= 1, since nothing here checks it.
-    """
-    n = _fft_size(order_bound)
-    phi = _phase_sum(_phase_table(beta.shape[1], n), beta)
-    f = np.fft.fft(np.exp(1j * phi), axis=-1) / n
-    fold, ramp = _order_fold(order_bound)
-    # take, not f[:, fold], keeps rows contiguous, so that a row-wise sum
-    # of the result reduces each row as it would reduce it alone
-    return f.take(fold, axis=1) * ramp
+    """The c_m of :func:`quadrature` alone: the kernel of :func:`coefficients`."""
+    return quadrature(beta, order_bound)[1]
 
 
 def coefficients(w: MtsfmWaveform) -> np.ndarray:

@@ -138,6 +138,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trials must be an integer"):
             monte_carlo_roc(np.ones(grid.num_bins), sc, trials, 0)
 
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_rejects_bad_seed_by_name(self, seed):
+        # numpy's own errors for these named no parameter
+        grid = make_grid(4.0, 1.0)
+        with pytest.raises(ValueError, match="seed must be"):
+            monte_carlo_roc(np.ones(grid.num_bins), _flat_scenario(grid), 2000, seed)
+
     def test_accepts_numpy_integer_trials(self):
         grid = make_grid(4.0, 1.0)
         mc = monte_carlo_roc(np.ones(grid.num_bins), _flat_scenario(grid), np.int64(2000), 0)

@@ -22,6 +22,8 @@ from miwave import (
 from miwave import fitting, mtsfm
 from miwave.experiment import load_config
 from miwave.fitting import objective_and_gradient
+from miwave.mtsfm import phase
+from miwave.spectral import recentre
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -172,24 +174,50 @@ class TestObjective:
 
     @staticmethod
     def _loop_reference(beta, target, order_bound):
-        """The objective from the coefficient kernel and one gradient
-        component per harmonic, in the same arithmetic order."""
+        """The objective from the quadrature kernel and the adjoint gradient
+        one harmonic at a time, in the kernel's arithmetic order."""
         k_max = len(beta)
-        ext = mtsfm.raw_coefficients(beta[None], order_bound + k_max)[0]
-        center = order_bound + k_max
-        m = np.arange(-order_bound, order_bound + 1)
-        c = ext[m + center]
+        x, c = mtsfm.quadrature(beta[None], order_bound, k_max)
+        x, c = x[0], c[0]
+        n = x.size
         t_pow = np.zeros(2 * order_bound + 1)
         lo = min(order_bound, target.half_order)
         inner = np.arange(-lo, lo + 1)
         t_pow[inner + order_bound] = target.c[inner + target.half_order] ** 2
         resid = target.energy * np.abs(c) ** 2 - t_pow
+        m = np.arange(-order_bound, order_bound + 1)
+        spread = np.zeros(n, dtype=complex)
+        spread[m % n] = resid * c * (-1.0) ** m
+        im = np.imag(x * np.conj(np.fft.ifft(spread)))
+        # a column of the (n, K) table, strided as the kernel's einsum reads it
+        table = mtsfm._phase_table(k_max, n)
         grad = np.empty(k_max)
         for k in range(1, k_max + 1):
-            shift = ext[m - k + center] + ext[m + k + center]
-            du = np.imag(np.conj(c) * shift)
-            grad[k - 1] = 2.0 * target.energy * np.sum(resid * du)
+            grad[k - 1] = 4.0 * target.energy * np.einsum("i,i->", table[:, k - 1], im)
         return float(np.sum(resid**2)), grad
+
+    @staticmethod
+    def _shift_map_gradient(beta, target, order_bound):
+        """The gradient by the coefficient derivative d c_m / d beta_k =
+        -j*(c_{m-k} + c_{m+k})/2, on the kernel's nodes from the public
+        phase: the quadrature's c_m are defined for every order m, and
+        the identity holds for them exactly."""
+        k_max = len(beta)
+        n = mtsfm._fft_size(order_bound, k_max)
+        t = -0.5 + np.arange(n) / n
+        x = np.exp(1j * phase(MtsfmWaveform(1.0, 1.0, tuple(beta)), t))
+        f = np.fft.fft(x) / n
+        ext_bound = order_bound + k_max
+        m_ext = np.arange(-ext_bound, ext_bound + 1)
+        ext = f[m_ext % n] * (-1.0) ** m_ext
+        m = np.arange(-order_bound, order_bound + 1)
+        c = ext[m + ext_bound]
+        t_pow = recentre(target.c**2, order_bound)
+        resid = target.energy * np.abs(c) ** 2 - t_pow
+        k = np.arange(1, k_max + 1)[:, None]
+        pair = ext[m - k + ext_bound] + ext[m + k + ext_bound]
+        du = np.imag(np.conj(c) * pair)
+        return 2.0 * target.energy * np.sum(resid * du, axis=-1)
 
     @pytest.mark.parametrize("order_bound", [9, 15, 40])
     @pytest.mark.parametrize("k_harm", [1, 2, 8, 32])
@@ -203,6 +231,18 @@ class TestObjective:
             f_ref, grad_ref = self._loop_reference(beta, tgt, order_bound)
             assert f_val[0] == f_ref
             assert grad[0].tolist() == grad_ref.tolist()
+
+    @pytest.mark.parametrize("order_bound", [9, 15, 40])
+    @pytest.mark.parametrize("k_harm", [1, 2, 8, 32])
+    def test_adjoint_equals_shift_map_gradient(self, k_harm, order_bound):
+        rng = np.random.default_rng(100 * k_harm + order_bound)
+        c = rng.uniform(0, 1, 31)
+        tgt = OfdmTarget(c / np.linalg.norm(c), 1.5)
+        for _ in range(5):
+            beta = rng.uniform(-1.5, 1.5, k_harm) / np.sqrt(k_harm)
+            _, grad = objective_and_gradient(beta[None], tgt, order_bound)
+            want = self._shift_map_gradient(beta, tgt, order_bound)
+            assert np.abs(grad[0] - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_rows", [1, 7, 60])
     def test_batch_rows_equal_single_rows(self, n_rows):
@@ -235,11 +275,8 @@ class TestObjective:
     def test_cached_tables_are_read_only(self):
         tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
         objective_and_gradient(np.array([[0.3, 0.1, 0.2]]), tgt, 6)
-        cached = [
-            mtsfm._phase_table(3, mtsfm._fft_size(9)),
-            *mtsfm._order_fold(9),
-            fitting._shift_maps(3, 6),
-        ]
+        n = mtsfm._fft_size(6, 3)
+        cached = [mtsfm._phase_table(3, n), *mtsfm._order_fold(6, n)]
         for table in cached:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0

@@ -59,6 +59,7 @@ CASES = [
      lambda x: match_rms_bandwidth(10.0, x, 1.0, GRID)),
     ("match_rms_bandwidth", "energy",
      lambda x: match_rms_bandwidth(10.0, 1.0, x, GRID)),
+    ("OfdmTarget", "energy", lambda x: OfdmTarget(np.ones(3) / np.sqrt(3), x)),
     ("esd_for_lambda", "lam", lambda x: esd_for_lambda(SCENE, x)),
     ("analytic_roc", "d_squared", lambda x: analytic_roc(x, [0.1])),
     ("fit", "k_harmonics", lambda x: fit(TARGET, x, 0.2, 1, 0)),
@@ -67,6 +68,8 @@ CASES = [
     ("fit", "seed", lambda x: fit(TARGET, 2, 0.2, 1, x)),
     ("monte_carlo_roc", "trials",
      lambda x: monte_carlo_roc(np.ones(GRID.num_bins), SCENE, x, 0)),
+    ("monte_carlo_roc", "seed",
+     lambda x: monte_carlo_roc(np.ones(GRID.num_bins), SCENE, 2000, x)),
     ("monte_carlo_roc", "p_fa_grid",
      lambda x: monte_carlo_roc(np.ones(GRID.num_bins), SCENE, 2000, 0, [x])),
 ]
