@@ -3,19 +3,21 @@
 Pipeline: sample the matched-illumination spectrum magnitude on the bin
 grid, where the sinc carriers are orthonormal, so the generic multicarrier
 coefficients are c_m = sqrt(E_s(f_m)/T); then minimize the quartic
-magnitude-matching objective
+magnitude-matching objective on the DFT X of n waveform samples
 
-    F(beta) = sum_m ( c_m^2 - E * |c_m^MTSFM(beta)|^2 )^2
+    F(beta) = sum_j ( c_m^2 - E * |X_j(beta)|^2 / n^2 )^2,  j = m mod n,
 
-subject to sum_k k*beta_k lying within (1 +/- delta) of the target's
-support half-width. The objective is nonconvex, so the solver is a
-multistart quasi-Newton with feasible-by-construction random starts. A
-Householder reflection maps the unit normal k/|k| of the support slab to
-the first axis, so in the reflected coordinates the slab is a box bound
-on one coordinate, which the fit engine projects onto exactly. The
-engine is a projected L-BFGS with Armijo backtracking that advances the
-local searches of all starts together, one batched objective call per
-step, in numpy alone: no runtime dependency beyond numpy.
+over all n bins (c_m = 0 off the target's orders), subject to
+sum_k k*beta_k lying within (1 +/- delta) of the target's support
+half-width. The objective is nonconvex, so the solver is a multistart
+quasi-Newton with feasible-by-construction random starts. A Householder
+reflection maps the unit normal k/|k| of the support slab to the first
+axis, so in the reflected coordinates the slab is a box bound on one
+coordinate, which the fit engine projects onto exactly. The engine is a
+projected L-BFGS with Armijo backtracking that advances the local
+searches of all starts in one loop, one trial point per live search in
+each batched objective call, in numpy alone: no runtime dependency
+beyond numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .detection import detection_metric
 from .mtsfm import MtsfmWaveform
 from .spectral import (
     FrequencyGrid, Scenario, SpectralDensity, as_int, finite_positive, finite_real,
-    read_only, recentre,
+    read_only,
 )
 
 __all__ = [
@@ -137,32 +139,40 @@ def support_halfwidth(target: OfdmTarget) -> int:
 def objective_and_gradient(
     beta, target: OfdmTarget, order_bound: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quartic fit objective and its gradient on orders |m| <= order_bound.
+    """Quartic fit objective and its gradient on the samples' own DFT.
 
     ``beta`` is a batch (S, K), one set of indices per row, giving (S,)
     objectives and (S, K) gradients, each row's bit-for-bit those of the
-    row alone. The gradient is exact for the quadrature objective, in the
-    adjoint form of phase retrieval (Candes, Li and Soltanolkotabi,
-    "Phase retrieval via Wirtinger flow", IEEE Trans. IT 2015): with the
-    nodes t_i and samples x_i of :func:`mtsfm.quadrature` and residuals
-    r_m = E*|c_m|^2 - c_tgt,m^2, dF/d beta_k = (4E/n) sum_i cos(2*pi*k*t_i)
-    Im(x_i conj(R_i)), where R_i = sum_m r_m c_m exp(j*2*pi*m*t_i) is n
-    times one inverse FFT of r_m c_m (-1)^m at bin m mod n.
+    row alone. With the samples x_i of ``mtsfm._samples`` at the n =
+    ``mtsfm._fft_size(max(order_bound, half_order))`` nodes t_i, so that
+    every target order fits, and X = fft(x), bin j's residual is
+    r_j = E*|X_j|^2/n^2 minus the target power c_tgt,m^2 of the order m
+    at bin j = m mod n, if any. F = sum_j r_j^2 runs over all n bins:
+    orders past the target's are misfit, and those of a row whose index
+    weight sum_k k*|beta_k| nears n/2 wrap around. The gradient is exact,
+    in the adjoint form of phase retrieval (Candes, Li and Soltanolkotabi,
+    "Phase retrieval via Wirtinger flow", IEEE Trans. IT 2015):
+    dF/d beta_k = (4E/n) sum_i cos(2*pi*k*t_i) Im(x_i conj(R_i)), with
+    R = ifft(r X).
     """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2 or beta.shape[1] < 1 or not np.isfinite(beta).all():
         raise ValueError("modulation indices must be a finite nonempty (S, K) batch")
-    k_max = beta.shape[1]
-    x, c = mtsfm.quadrature(beta, order_bound, k_max)
-    n = x.shape[1]
-    resid = target.energy * np.abs(c) ** 2 - recentre(target.c**2, order_bound)
+    half = target.half_order
+    n = mtsfm._fft_size(max(order_bound, half))
+    t_pow = np.zeros(n)
+    t_pow[np.arange(-half, half + 1) % n] = target.c**2
+    x = mtsfm._samples(beta, n)
+    big_x = np.fft.fft(x, axis=-1)
+    # real squares and products only: a complex product with a conjugate
+    # can round a row differently with the number of rows in the batch
+    resid = target.energy / n**2 * (big_x.real**2 + big_x.imag**2) - t_pow
     f_val = np.sum(resid**2, axis=-1)
-    fold, ramp = mtsfm._order_fold(order_bound, n)
-    spread = np.zeros(x.shape, dtype=complex)
-    spread[:, fold] = resid * c * ramp
-    im = np.imag(x * np.conj(np.fft.ifft(spread, axis=-1)))
+    adj = np.fft.ifft(resid * big_x, axis=-1)
+    im = x.imag * adj.real - x.real * adj.imag
     # an einsum, so that a row's gradient does not depend on the other rows
-    grad = 4.0 * target.energy * np.einsum("ik,si->sk", mtsfm._phase_table(k_max, n), im)
+    table = mtsfm._phase_table(beta.shape[1], n)
+    grad = 4.0 * target.energy / n * np.einsum("ik,si->sk", table, im)
     return f_val, grad
 
 
@@ -193,29 +203,21 @@ def _rows_times(a: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("sk,kj->sj", a, h)
 
 
-def _evaluate(x, h, target, order_bound):
-    """Objective at beta = H x and x-gradient H grad of each row.
-
-    ``objective_and_gradient`` is looked up at call time, one call per
-    batch of rows, so a caller can wrap it to count or time evaluations.
-    """
-    f_val, grad = objective_and_gradient(_rows_times(x, h), target, order_bound)
-    return f_val, _rows_times(grad, h)
-
-
 def _search(x, lo, hi, h, target, order_bound):
-    """Projected L-BFGS from every row of ``x`` at once, in lockstep.
+    """Projected L-BFGS from every row of ``x`` at once, in one loop.
 
     The first coordinate is boxed to [lo, hi], the others are free. Each
-    iteration takes the L-BFGS direction from the row's last ``MEMORY``
-    curvature pairs (an empty slot adds nothing), with the first
-    coordinate frozen while it sits at a bound with an outward gradient,
-    then backtracks by halving along the projected path until the Armijo
-    condition holds. Every row still searching or backtracking goes into
-    one batched objective call. A row stops when its line search finds
-    no sufficient decrease in ``LINE_SEARCH_STEPS`` trial steps, when its
-    projected gradient is at most ``G_TOL``, when its last step reduced
-    the objective by at most ``F_TOL`` relative, or after ``MAX_ITER``
+    pass makes one batched ``objective_and_gradient`` call, looked up at
+    call time so that a caller can wrap it to count or time evaluations,
+    at one trial point per live search: first its start, which it
+    accepts, then points along the projected path of its direction, the
+    step halved after each miss, until one meets the Armijo condition.
+    The direction comes from the row's last ``MEMORY`` curvature pairs
+    (an empty slot adds nothing), with the first coordinate frozen while
+    it sits at a bound with an outward gradient. A row stops when
+    ``LINE_SEARCH_STEPS`` trial points in a row miss, when its projected
+    gradient is at most ``G_TOL``, when its last step reduced the
+    objective by at most ``F_TOL`` relative, or after ``MAX_ITER``
     iterations, the first of these in this order giving its message.
     Every operation is row-wise, so a row's path does not depend on the
     other rows.
@@ -227,9 +229,11 @@ def _search(x, lo, hi, h, target, order_bound):
     out_f = np.empty(n_rows)
     out_status = np.empty(n_rows, dtype=object)
 
-    x = x.copy()
-    x[:, 0] = np.clip(x[:, 0], lo, hi)
-    f, g = _evaluate(x, h, target, order_bound)
+    xt = x.copy()  # each row's trial point, its start first
+    xt[:, 0] = np.clip(xt[:, 0], lo, hi)
+    x, f, g = xt.copy(), np.zeros(n_rows), np.zeros_like(xt)  # last accepted
+    step = np.ones(n_rows)
+    at_start = True
     row = np.arange(n_rows)
     s_mem = np.zeros((n_rows, MEMORY, k_dim))  # newest pair last
     y_mem = np.zeros((n_rows, MEMORY, k_dim))
@@ -238,70 +242,22 @@ def _search(x, lo, hi, h, target, order_bound):
     u_inv = np.tile(np.eye(MEMORY), (n_rows, 1, 1))
     gamma = np.ones(n_rows)
     iters = np.zeros(n_rows, dtype=int)
-    failed = reduced = np.zeros(n_rows, dtype=bool)
+    misses = np.zeros(n_rows, dtype=int)  # trial points missed in a row
 
     while True:
-        frozen = ((x[:, 0] <= lo) & (g[:, 0] > 0)) | ((x[:, 0] >= hi) & (g[:, 0] < 0))
-        pg = g.copy()
-        pg[frozen, 0] = 0.0
-        # later rules overwrite earlier ones
-        stop = np.full(row.size, "", dtype=object)
-        stop[iters >= MAX_ITER] = ITERATION_LIMIT
-        stop[reduced] = CONVERGED_REDUCTION
-        stop[np.abs(pg).max(axis=1) <= G_TOL] = CONVERGED_GRADIENT
-        stop[failed] = LINE_SEARCH_FAILED
-        done = stop != ""
-        if done.any():
-            out_status[row[done]] = stop[done]
-            out_x[row[done]], out_f[row[done]] = x[done], f[done]
-            keep = ~done
-            row, x, f, g, pg, frozen = (a[keep] for a in (row, x, f, g, pg, frozen))
-            s_mem, y_mem, sy_mem, u_inv, gamma, iters = (
-                a[keep] for a in (s_mem, y_mem, sy_mem, u_inv, gamma, iters)
-            )
-            if not row.size:
-                return out_x, out_f, out_status.tolist()
+        ft, gt = objective_and_gradient(_rows_times(xt, h), target, order_bound)
+        gt = _rows_times(gt, h)
+        moved = (not at_start) & (ft <= f + ARMIJO_C1 * np.sum(g * (xt - x), axis=-1))
+        accepted = moved | at_start
+        at_start = False
+        misses = np.where(accepted, 0, misses + 1)
+        failed = misses >= LINE_SEARCH_STEPS
+        iters += moved
 
-        # the two-loop recursion in closed form (Byrd, Nocedal and Schnabel,
-        # Math. Prog. 1994): its first loop solves U alpha = S pg, its
-        # second U^T delta = diag(U) alpha - Y r for r = gamma (pg - Y^T
-        # alpha), and the direction is -(r + S^T delta)
-        alpha = np.einsum("smn,sn->sm", u_inv, np.einsum("smk,sk->sm", s_mem, pg))
-        r = gamma[:, None] * (pg - np.einsum("smk,sm->sk", y_mem, alpha))
-        rhs = sy_mem * alpha - np.einsum("smk,sk->sm", y_mem, r)
-        d = -(r + np.einsum("smk,sm->sk", s_mem, np.einsum("snm,sn->sm", u_inv, rhs)))
-        d[frozen, 0] = 0.0
-        # without curvature pairs the first step has unit length, as in L-BFGS-B
-        step = np.where(
-            sy_mem[:, -1] > 0,
-            1.0,
-            np.minimum(1.0, 1.0 / np.sqrt(np.sum(d * d, axis=-1))),
-        )
-
-        # Armijo backtracking along the projected path, all rows in one batch;
-        # a row whose line search fails keeps its last accepted point
-        x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
-        pending = np.arange(row.size)
-        for _ in range(LINE_SEARCH_STEPS):
-            xt = x[pending] + step[pending, None] * d[pending]
-            xt[:, 0] = np.clip(xt[:, 0], lo, hi)
-            ft, gt = _evaluate(xt, h, target, order_bound)
-            decrease = ARMIJO_C1 * np.sum(g[pending] * (xt - x[pending]), axis=-1)
-            ok = ft <= f[pending] + decrease
-            took = pending[ok]
-            x_new[took], f_new[took], g_new[took] = xt[ok], ft[ok], gt[ok]
-            pending = pending[~ok]
-            if not pending.size:
-                break
-            step[pending] *= 0.5
-        failed = np.zeros(row.size, dtype=bool)
-        failed[pending] = True
-        iters += ~failed
-
-        s_step, y_step = x_new - x, g_new - g
+        s_step, y_step = xt - x, gt - g
         sy = np.sum(s_step * y_step, axis=-1)
         yy = np.sum(y_step * y_step, axis=-1)
-        store = ~failed & (sy > CURVATURE_TOL * yy)
+        store = moved & (sy > CURVATURE_TOL * yy)
         # drop the oldest slot: U^-1 keeps its trailing block, the inverse
         # of U's; the new pair adds the column u_i = s_i.y and corner s.y
         s_mem[store, :-1], y_mem[store, :-1], sy_mem[store, :-1] = (
@@ -316,10 +272,54 @@ def _search(x, lo, hi, h, target, order_bound):
         u_inv[store, -1, :-1] = 0.0
         u_inv[store, -1, -1] = 1.0 / sy[store]
         gamma[store] = sy[store] / yy[store]
-        reduced = (f - f_new) <= F_TOL * np.maximum(
-            np.maximum(np.abs(f), np.abs(f_new)), 1.0
+        reduced = moved & (
+            (f - ft) <= F_TOL * np.maximum(np.maximum(np.abs(f), np.abs(ft)), 1.0)
         )
-        x, f, g = x_new, f_new, g_new
+        x[accepted], f[accepted], g[accepted] = xt[accepted], ft[accepted], gt[accepted]
+        step[~accepted] *= 0.5
+
+        # a row whose line search has ended is tested for a stop and, if it
+        # goes on, starts a new one; the other rows keep backtracking
+        ended = accepted | failed
+        frozen = ((x[:, 0] <= lo) & (g[:, 0] > 0)) | ((x[:, 0] >= hi) & (g[:, 0] < 0))
+        pg = g.copy()
+        pg[frozen, 0] = 0.0
+        # later rules overwrite earlier ones
+        stop = np.full(row.size, "", dtype=object)
+        stop[iters >= MAX_ITER] = ITERATION_LIMIT
+        stop[reduced] = CONVERGED_REDUCTION
+        stop[np.abs(pg).max(axis=1) <= G_TOL] = CONVERGED_GRADIENT
+        stop[failed] = LINE_SEARCH_FAILED
+        done = ended & (stop != "")
+        if done.any():
+            out_status[row[done]] = stop[done]
+            out_x[row[done]], out_f[row[done]] = x[done], f[done]
+            keep = ~done
+            row, x, f, g, pg, frozen, ended, step, misses = (
+                a[keep] for a in (row, x, f, g, pg, frozen, ended, step, misses)
+            )
+            s_mem, y_mem, sy_mem, u_inv, gamma, iters = (
+                a[keep] for a in (s_mem, y_mem, sy_mem, u_inv, gamma, iters)
+            )
+            if not row.size:
+                return out_x, out_f, out_status.tolist()
+
+        # the two-loop recursion in closed form (Byrd, Nocedal and Schnabel,
+        # Math. Prog. 1994): its first loop solves U alpha = S pg, its
+        # second U^T delta = diag(U) alpha - Y r for r = gamma (pg - Y^T
+        # alpha), and the direction is -(r + S^T delta); a backtracking
+        # row's x, g and pairs are those its line search started from, so
+        # its direction comes out the same bits as then
+        alpha = np.einsum("smn,sn->sm", u_inv, np.einsum("smk,sk->sm", s_mem, pg))
+        r = gamma[:, None] * (pg - np.einsum("smk,sm->sk", y_mem, alpha))
+        rhs = sy_mem * alpha - np.einsum("smk,sk->sm", y_mem, r)
+        d = -(r + np.einsum("smk,sm->sk", s_mem, np.einsum("snm,sn->sm", u_inv, rhs)))
+        d[frozen, 0] = 0.0
+        # without curvature pairs the first step has unit length, as in L-BFGS-B
+        first = np.minimum(1.0, 1.0 / np.sqrt(np.sum(d * d, axis=-1)))
+        step = np.where(ended, np.where(sy_mem[:, -1] > 0, 1.0, first), step)
+        xt = x + step[:, None] * d
+        xt[:, 0] = np.clip(xt[:, 0], lo, hi)
 
 
 def check_fit_params(k_harmonics, delta, n_starts, seed) -> tuple:

@@ -23,7 +23,6 @@ from miwave import fitting, mtsfm
 from miwave.experiment import load_config
 from miwave.fitting import objective_and_gradient
 from miwave.mtsfm import phase
-from miwave.spectral import recentre
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -173,51 +172,46 @@ class TestObjective:
             assert grad[0, k] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
     @staticmethod
-    def _loop_reference(beta, target, order_bound):
-        """The objective from the quadrature kernel and the adjoint gradient
-        one harmonic at a time, in the kernel's arithmetic order."""
-        k_max = len(beta)
-        x, c = mtsfm.quadrature(beta[None], order_bound, k_max)
-        x, c = x[0], c[0]
-        n = x.size
-        t_pow = np.zeros(2 * order_bound + 1)
-        lo = min(order_bound, target.half_order)
-        inner = np.arange(-lo, lo + 1)
-        t_pow[inner + order_bound] = target.c[inner + target.half_order] ** 2
-        resid = target.energy * np.abs(c) ** 2 - t_pow
-        m = np.arange(-order_bound, order_bound + 1)
-        spread = np.zeros(n, dtype=complex)
-        spread[m % n] = resid * c * (-1.0) ** m
-        im = np.imag(x * np.conj(np.fft.ifft(spread)))
-        # a column of the (n, K) table, strided as the kernel's einsum reads it
-        table = mtsfm._phase_table(k_max, n)
-        grad = np.empty(k_max)
-        for k in range(1, k_max + 1):
-            grad[k - 1] = 4.0 * target.energy * np.einsum("i,i->", table[:, k - 1], im)
-        return float(np.sum(resid**2)), grad
-
-    @staticmethod
-    def _shift_map_gradient(beta, target, order_bound):
-        """The gradient by the coefficient derivative d c_m / d beta_k =
-        -j*(c_{m-k} + c_{m+k})/2, on the kernel's nodes from the public
-        phase: the quadrature's c_m are defined for every order m, and
-        the identity holds for them exactly."""
-        k_max = len(beta)
-        n = mtsfm._fft_size(order_bound, k_max)
+    def _dft_of_public_phase(beta, target, order_bound):
+        """The public phase's samples x on the kernel's n nodes
+        t_i = -1/2 + i/n, their DFT X and the target power at bin m mod n."""
+        n = mtsfm._fft_size(max(order_bound, target.half_order))
         t = -0.5 + np.arange(n) / n
         x = np.exp(1j * phase(MtsfmWaveform(1.0, 1.0, tuple(beta)), t))
-        f = np.fft.fft(x) / n
-        ext_bound = order_bound + k_max
-        m_ext = np.arange(-ext_bound, ext_bound + 1)
-        ext = f[m_ext % n] * (-1.0) ** m_ext
-        m = np.arange(-order_bound, order_bound + 1)
-        c = ext[m + ext_bound]
-        t_pow = recentre(target.c**2, order_bound)
-        resid = target.energy * np.abs(c) ** 2 - t_pow
-        k = np.arange(1, k_max + 1)[:, None]
-        pair = ext[m - k + ext_bound] + ext[m + k + ext_bound]
-        du = np.imag(np.conj(c) * pair)
-        return 2.0 * target.energy * np.sum(resid * du, axis=-1)
+        t_pow = np.zeros(n)
+        m = np.arange(-target.half_order, target.half_order + 1)
+        t_pow[m % n] = target.c**2
+        return x, np.fft.fft(x), t_pow
+
+    @classmethod
+    def _loop_reference(cls, beta, target, order_bound):
+        """The DFT objective and its adjoint gradient one harmonic at a
+        time, in the kernel's arithmetic order."""
+        x, big_x, t_pow = cls._dft_of_public_phase(beta, target, order_bound)
+        n = x.size
+        resid = target.energy / n**2 * (big_x.real**2 + big_x.imag**2) - t_pow
+        adj = np.fft.ifft(resid * big_x)
+        im = x.imag * adj.real - x.real * adj.imag
+        # a column of the (n, K) table, strided as the kernel's einsum reads it
+        table = mtsfm._phase_table(len(beta), n)
+        grad = np.empty(len(beta))
+        for k in range(1, len(beta) + 1):
+            grad[k - 1] = 4.0 * target.energy / n * np.einsum("i,i->", table[:, k - 1], im)
+        return float(np.sum(resid**2)), grad
+
+    @classmethod
+    def _shift_map_gradient(cls, beta, target, order_bound):
+        """The gradient by the circular identity dX_j / d beta_k =
+        -(i/2)(-1)^k (X_{j-k} + X_{j+k}), indices mod n, which holds
+        exactly for the DFT of samples on the nodes -1/2 + i/n."""
+        _, big_x, t_pow = cls._dft_of_public_phase(beta, target, order_bound)
+        n = big_x.size
+        resid = target.energy * np.abs(big_x) ** 2 / n**2 - t_pow
+        j = np.arange(n)
+        k = np.arange(1, len(beta) + 1)[:, None]
+        d_x = -0.5j * (-1.0) ** k * (big_x[(j - k) % n] + big_x[(j + k) % n])
+        d_pow = 2.0 * np.real(np.conj(big_x) * d_x)
+        return 2.0 * target.energy / n**2 * np.sum(resid * d_pow, axis=-1)
 
     @pytest.mark.parametrize("order_bound", [9, 15, 40])
     @pytest.mark.parametrize("k_harm", [1, 2, 8, 32])
@@ -246,20 +240,42 @@ class TestObjective:
 
     @pytest.mark.parametrize("n_rows", [1, 7, 60])
     def test_batch_rows_equal_single_rows(self, n_rows):
+        # 300 rows: a complex product with a conjugate once rounded the
+        # rows of a small batch differently from those of a large one
         rng = np.random.default_rng(n_rows)
         c = rng.uniform(0, 1, 31)
         tgt = OfdmTarget(c / np.linalg.norm(c), 1.5)
-        betas = rng.uniform(-1.5, 1.5, (60, 8)) / np.sqrt(8)
+        betas = rng.uniform(-1.5, 1.5, (300, 8)) / np.sqrt(8)
         f_all, g_all = objective_and_gradient(betas, tgt, 20)
-        assert f_all.shape == (60,) and g_all.shape == (60, 8)
+        assert f_all.shape == (300,) and g_all.shape == (300, 8)
         # the last n_rows rows alone, each at another place in its batch
         f_val, grad = objective_and_gradient(betas[-n_rows:], tgt, 20)
         assert f_val.tolist() == f_all[-n_rows:].tolist()
         assert grad.tolist() == g_all[-n_rows:].tolist()
         for row, beta in enumerate(betas[-n_rows:]):
             f_one, g_one = objective_and_gradient(beta[None], tgt, 20)
-            assert abs(f_val[row] - f_one[0]) <= 1e-12 * abs(f_one[0])
-            assert np.abs(grad[row] - g_one[0]).max() <= 1e-12 * np.abs(g_one).max()
+            assert f_one.tolist() == [f_val[row]]
+            assert g_one.tolist() == [grad[row].tolist()]
+
+    @pytest.mark.parametrize("half_order", [31, 32, 40])
+    def test_bins_hold_every_target_order(self, half_order):
+        # order_bound 6 alone gives 64 DFT bins, too few for 65 orders or
+        # more; the bins are sized by the larger of the bound and half-order
+        rng = np.random.default_rng(half_order)
+        tgt = OfdmTarget(rng.uniform(0, 1, 2 * half_order + 1), 1.0)
+        beta = rng.uniform(-1, 1, (3, 4))
+        low = objective_and_gradient(beta, tgt, 6)
+        high = objective_and_gradient(beta, tgt, half_order)
+        assert [a.tolist() for a in low] == [a.tolist() for a in high]
+
+    def test_every_target_order_counts(self):
+        # beta = 0 is a tone at DC, so F = (E - c_0^2)^2 + sum_{m != 0} c_m^4
+        # over all 81 target orders, though order_bound is 6
+        c = np.random.default_rng(3).uniform(0, 1, 81)
+        tgt = OfdmTarget(c, 2.0)
+        got = objective_and_gradient(np.zeros((1, 2)), tgt, 6)[0][0]
+        want = (2.0 - c[40] ** 2) ** 2 + np.sum(np.delete(c, 40) ** 4)
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_beta_rejected(self, bad):
@@ -275,11 +291,9 @@ class TestObjective:
     def test_cached_tables_are_read_only(self):
         tgt = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
         objective_and_gradient(np.array([[0.3, 0.1, 0.2]]), tgt, 6)
-        n = mtsfm._fft_size(6, 3)
-        cached = [mtsfm._phase_table(3, n), *mtsfm._order_fold(6, n)]
-        for table in cached:
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0
+        table = mtsfm._phase_table(3, mtsfm._fft_size(6))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 class TestFit:
@@ -329,7 +343,9 @@ class TestFit:
     @pytest.mark.parametrize("name", ["clutter_notch", "clutter_peak"])
     def test_start_does_not_depend_on_n_starts(self, name):
         # all searches run in one batch, yet start i is bit-for-bit the
-        # same whether 5 or 20 starts share it
+        # same whether 5 or 50 starts share it; 50 starts put up to 150
+        # rows in a call, enough for rows that round with the batch size
+        # to show
         cfg = load_config(CONFIG_DIR / f"{name}.yaml")
         for energy in cfg.energy_list[:2]:
             scenario = cfg.scenario(energy)
@@ -337,7 +353,7 @@ class TestFit:
             tgt = solve_ofdm_coeffs(esd, scenario.grid, integrate(esd))
             runs = [
                 fit(tgt, cfg.k_harmonics, cfg.delta, n, 0, scenario=scenario)
-                for n in (5, 20)
+                for n in (5, 50)
             ]
             few, many = (sorted(run, key=lambda r: r.start_index) for run in runs)
             assert few == many[:5]
