@@ -70,11 +70,15 @@ def match_rms_bandwidth(
 ) -> LfmWaveform:
     """Find the sweep bandwidth whose chirp ESD has a given RMS bandwidth.
 
-    Scalar root-find over B, bracketed by the whole band [0, W].
-    Targets above the full-band sweep's RMS bandwidth are unreachable
-    (the chirp's soft spectral edges cap the second moment); they clamp
-    to the full-band sweep B = W with a warning. The root is found to a
-    relative tolerance of 1e-4 in B.
+    Scalar root-find over B, bracketed by the whole band [0, W]. The
+    lower end costs no chirp spectrum: the B = 0 chirp is a DC tone of
+    RMS bandwidth 0. Targets above the full-band sweep's RMS bandwidth
+    are unreachable (the chirp's soft spectral edges cap the second
+    moment); they clamp to the full-band sweep B = W with a warning.
+    Otherwise the search starts at the flat-spectrum estimate
+    B = sqrt(12)*beta_rms/(2*pi) and takes Illinois steps (Dowell and
+    Jarratt, BIT 1971), safeguarded regula falsi, until a step is at
+    most (2e-12 + 1e-4*B)/2: a relative tolerance of 1e-4 in B.
     """
     if finite_nonnegative("target_beta_rms", target_beta_rms) == 0:
         return LfmWaveform(duration, energy, 0.0)
@@ -92,62 +96,22 @@ def match_rms_bandwidth(
             stacklevel=2,
         )
         return LfmWaveform(duration, energy, float(b_max))
-    r0 = resid(0.0)
-    if r0 >= 0:
-        return LfmWaveform(duration, energy, 0.0)
-    b = _brentq(resid, 0.0, b_max, r0, r_max, rtol=1e-4)
-    return LfmWaveform(duration, energy, float(b))
-
-
-def _brentq(f, a: float, b: float, fa: float, fb: float, rtol: float) -> float:
-    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4),
-    given the endpoint values ``fa = f(a)`` and ``fb = f(b)``.
-
-    A step-for-step port of scipy's ``brentq`` (its ``brentq.c``) at the
-    defaults ``xtol=2e-12`` and ``maxiter=100``: the same iterates, so
-    the same root, with two calls to ``f`` fewer, since the caller
-    already has the endpoint values.
-    """
-    xtol = 2e-12
-    xpre, xcur = a, b
-    fpre, fcur = fa, fb
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    # residuals below the root are negative, so lo keeps f_lo < 0 <= f_hi
+    lo, f_lo, hi, f_hi = 0.0, -target_beta_rms, float(b_max), r_max
+    b = min(math.sqrt(12.0) * target_beta_rms / (2.0 * math.pi), hi)
+    kept = 0  # the end the last step kept: -1 for lo, 1 for hi
     for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                    dblk * dpre * (fblk - fpre)
-                )
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
+        r = resid(b)
+        if r < 0:
+            if kept == 1:  # hi kept twice running: halve its residual
+                f_hi /= 2.0
+            lo, f_lo, kept = b, r, 1
         else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError("Brent's method did not converge in 100 iterations")
+            if kept == -1:
+                f_lo /= 2.0
+            hi, f_hi, kept = b, r, -1
+        step = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) - b
+        b += step
+        if abs(step) <= (2e-12 + 1e-4 * b) / 2:
+            return LfmWaveform(duration, energy, float(b))
+    raise RuntimeError("the LFM bandwidth match did not converge in 100 steps")

@@ -81,8 +81,8 @@ class ExperimentConfig:
             raise ValueError("energy_list must be nonempty")
         for e in energies:
             finite_positive("energy_list", e)
-        if len(set(energies)) < len(energies):
-            raise ValueError(f"energy_list must not repeat a value, got {energies}")
+        if len({_f(e) for e in energies}) < len(energies):  # _f names their files
+            raise ValueError(f"energy_list must not repeat a value at %.12g, got {energies}")
         # the rules of fit and monte_carlo_roc, checked before anything runs
         k, _, n, seed = check_fit_params(self.k_harmonics, self.delta, self.n_starts, self.seed)
         trials, p_fa = check_roc_params(self.trials, self.p_fa_grid)

@@ -232,6 +232,7 @@ def _clutter_peak(
     osc_height: float = 0.3,
     osc_cycles: float = 4.0,
 ) -> np.ndarray:
+    finite_positive("peak_width", peak_width)
     # Gaussian peak at DC plus a cos^2 ripple across the band
     gauss = peak_height * np.exp(-(f**2) / (2.0 * peak_width**2))
     ripple = osc_height * np.cos(2.0 * np.pi * f * osc_cycles / W) ** 2
@@ -247,6 +248,7 @@ def _clutter_notch(
 ) -> np.ndarray:
     if not 0 <= notch_depth <= 1:
         raise ValueError("notch_depth must lie in [0, 1]")
+    finite_positive("notch_width", notch_width)
     return level * (1.0 - notch_depth * np.exp(-(f**2) / (2.0 * notch_width**2)))
 
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -15,7 +13,7 @@ from miwave import (
     match_rms_bandwidth,
     rms_bandwidth,
 )
-from miwave.baselines import _brentq
+from miwave import baselines
 
 
 class TestLfmTimeSeries:
@@ -69,11 +67,26 @@ class TestLfmEsd:
             lfm_esd(LfmWaveform(1.0, 1.0, 5.0), grid)
 
 
+def _spectra(monkeypatch):
+    """Sweep bandwidths of the chirp spectra ``match_rms_bandwidth``
+    evaluates, recorded through the module global it looks up."""
+    seen = []
+
+    def recorded(w, grid):
+        seen.append(w.sweep_bandwidth)
+        return lfm_esd(w, grid)
+
+    monkeypatch.setattr(baselines, "lfm_esd", recorded)
+    return seen
+
+
 class TestMatchRmsBandwidth:
-    def test_zero_target(self):
+    def test_zero_target(self, monkeypatch):
         grid = make_grid(10.0, 1.0)
+        seen = _spectra(monkeypatch)
         w = match_rms_bandwidth(0.0, 1.0, 1.0, grid)
         assert w.sweep_bandwidth == 0.0
+        assert seen == []
 
     def test_round_trip(self):
         grid = make_grid(40.0, 1.0)
@@ -92,11 +105,13 @@ class TestMatchRmsBandwidth:
             np.sqrt(12.0) * target / (2 * np.pi), rel=0.1
         )
 
-    def test_infeasible_target(self):
+    def test_infeasible_target(self, monkeypatch):
         grid = make_grid(10.0, 1.0)
+        seen = _spectra(monkeypatch)
         with pytest.warns(UserWarning, match="clamping"):
             w = match_rms_bandwidth(1e4, 1.0, 1.0, grid)
         assert w.sweep_bandwidth == grid.band_width
+        assert seen == [grid.band_width]
 
     def test_mi_design_round_trip(self, notch_scenario):
         design = design_mi(notch_scenario.with_energy(1.0))
@@ -118,54 +133,37 @@ class TestMatchRmsBandwidth:
             assert d2_lfm <= d2_star + 1e-9
 
 
-def _counted(f):
-    calls = [0]
-
-    def g(x):
-        calls[0] += 1
-        return f(x)
-
-    return g, calls
-
-
-def _assert_same_as_scipy(f, a, b):
-    """``_brentq`` given f(a) and f(b), and scipy's ``brentq`` at rtol
-    1e-4: the same root, bit for bit, with two calls to ``f`` fewer."""
-    g, calls = _counted(f)
-    root = _brentq(g, a, b, f(a), f(b), rtol=1e-4)
-    ref, info = brentq(f, a, b, rtol=1e-4, full_output=True)
-    assert info.converged
-    assert root == ref
-    assert calls[0] == info.function_calls - 2
-
-
 class TestBrentq:
-    @pytest.mark.parametrize("band_width", [20.0, 100.0])
-    @pytest.mark.parametrize("frac", [0.1, 0.25, 0.4, 0.55, 0.7])
-    def test_lfm_residual_matches_scipy(self, band_width, frac):
-        # the residual of match_rms_bandwidth on 21- and 101-bin grids;
-        # frac scales the flat-spectrum RMS bandwidth of a full-band sweep
-        grid = make_grid(band_width, 1.0)
-        target = frac * 2 * np.pi * band_width / np.sqrt(12.0)
+    """``match_rms_bandwidth`` against scipy's ``brentq`` at
+    xtol = rtol = 1e-15 as the reference root."""
+
+    @staticmethod
+    def _assert_root_matches_scipy(monkeypatch, band_width, duration, frac):
+        # frac scales the RMS bandwidth of the full-band sweep, the
+        # largest reachable target
+        grid = make_grid(band_width, duration)
+        full = LfmWaveform(duration, 1.0, grid.band_width)
+        target = frac * rms_bandwidth(lfm_esd(full, grid), 1.0)
 
         def resid(b):
-            esd = lfm_esd(LfmWaveform(1.0, 1.0, b), grid)
+            esd = lfm_esd(LfmWaveform(duration, 1.0, b), grid)
             return rms_bandwidth(esd, 1.0) - target
 
-        assert resid(0.0) < 0 < resid(grid.band_width)
-        _assert_same_as_scipy(resid, 0.0, grid.band_width)
+        ref = brentq(resid, 0.0, grid.band_width, xtol=1e-15, rtol=1e-15)
+        seen = _spectra(monkeypatch)
+        w = match_rms_bandwidth(target, duration, 1.0, grid)
+        assert w.sweep_bandwidth == pytest.approx(ref, rel=1e-4)
+        # the lower end f(0) = -target is closed-form: no spectrum at B = 0
+        assert 0.0 not in seen
+        assert seen[0] == grid.band_width
+        assert len(seen) <= 6
 
-    @pytest.mark.parametrize(
-        "f, a, b",
-        [
-            (lambda x: x**3 - 2.0, 0.0, 3.0),
-            (lambda x: math.atan(100.0 * (x - 0.123)), -1.0, 4.0),
-            (lambda x: math.exp(x) - 1.0, 0.0, 2.0),  # root at an endpoint
-        ],
-    )
-    def test_analytic_monotone_matches_scipy(self, f, a, b):
-        _assert_same_as_scipy(f, a, b)
+    @pytest.mark.parametrize("band_width", [20.0, 100.0])
+    @pytest.mark.parametrize("frac", [1e-6, 0.1, 0.25, 0.4, 0.55, 0.7, 0.999999])
+    def test_lfm_residual_matches_scipy(self, monkeypatch, band_width, frac):
+        self._assert_root_matches_scipy(monkeypatch, band_width, 1.0, frac)
 
-    def test_same_sign_bracket_raises(self):
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, rtol=1e-4)
+    @pytest.mark.parametrize("duration", [0.37, 2.5])
+    @pytest.mark.parametrize("frac", [1e-6, 0.4, 0.999999])
+    def test_other_durations_match_scipy(self, monkeypatch, duration, frac):
+        self._assert_root_matches_scipy(monkeypatch, 20.0, duration, frac)

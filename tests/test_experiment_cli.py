@@ -456,6 +456,10 @@ class TestCli:
             (["design", "--seed", "-1"], None, None, "seed must be >= 0"),
             (["design"], "seed", "-1", "seed must be >= 0"),
             (["fit"], "energy_list", "[2.0, 2.0]", "energy_list must not repeat"),
+            # both would write fit_E1.csv and the same esd_table.csv columns
+            (["fit"], "energy_list", "[1.0, 1.0000000000001]", "energy_list must not repeat"),
+            (["design"], "clutter_params", "{level: 1.0, notch_depth: 0.9, notch_width: 0}",
+             "notch_width must be finite and positive"),
             (["roc"], "p_fa_grid", "[]", "p_fa_grid must be nonempty"),
             (["roc"], "p_fa_grid", "['0.1']", "p_fa_grid must be a number"),
             (["design"], "k_harmonics", "0", "k_harmonics must be >= 1"),
@@ -468,7 +472,8 @@ class TestCli:
             (["roc", "--trials", "999"], None, None, "trials must be >= 1000"),
         ],
         ids=[
-            "seed-flag", "seed-key", "repeated-energy", "empty-p_fa", "string-p_fa",
+            "seed-flag", "seed-key", "repeated-energy", "energies-print-alike",
+            "zero-notch-width", "empty-p_fa", "string-p_fa",
             "k0-design", "k0-fit", "k0-roc", "delta-design", "delta-fit",
             "trials-design", "trials-roc", "trials-flag",
         ],

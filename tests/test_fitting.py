@@ -369,6 +369,24 @@ class TestFit:
             assert r.status.startswith("ABNORMAL: ")
             assert not r.converged
 
+    def test_misses_in_a_row_end_a_search(self, monkeypatch):
+        # an objective scripted call by call: the start, 20 trial points
+        # that miss, one accepted point, then misses for ever; the search
+        # ends after LINE_SEARCH_STEPS misses in a row, not in total
+        script = [1.0] + [2.0] * 20 + [0.5]
+        calls = []
+
+        def scripted(beta, target, order_bound):
+            f = script[len(calls)] if len(calls) < len(script) else 2.0
+            calls.append(f)
+            return np.full(len(beta), f), np.ones_like(beta)
+
+        monkeypatch.setattr(fitting, "objective_and_gradient", scripted)
+        _, f, status = fitting._search(np.zeros((1, 2)), -1.0, 1.0, np.eye(2), None, 0)
+        assert status == [fitting.LINE_SEARCH_FAILED]
+        assert f.tolist() == [0.5]
+        assert len(calls) == len(script) + fitting.LINE_SEARCH_STEPS
+
     @staticmethod
     def _assert_every_start_in_slab(results, kappa, delta):
         # the slab is a box bound of the optimizer, so it holds to rounding

@@ -42,6 +42,10 @@ CASES = [
      lambda x: build_parametric_psd("noise_valley", {"n_min": x}, GRID)),
     ("noise_valley", "n_max",
      lambda x: build_parametric_psd("noise_valley", {"n_max": x}, GRID)),
+    ("clutter_peak", "peak_width",
+     lambda x: build_parametric_psd("clutter_peak", {"peak_width": x}, GRID)),
+    ("clutter_notch", "notch_width",
+     lambda x: build_parametric_psd("clutter_notch", {"notch_width": x}, GRID)),
     ("MtsfmWaveform", "duration", lambda x: MtsfmWaveform(x, 1.0, (1.0,))),
     ("MtsfmWaveform", "energy", lambda x: MtsfmWaveform(1.0, x, (1.0,))),
     ("envelope", "sample_rate",
