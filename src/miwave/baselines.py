@@ -54,7 +54,7 @@ def lfm_esd(w: LfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
     _, x = lfm_time_series(w, n / w.duration)
     spec = np.fft.fft(x) * (w.duration / n)
     m = grid.bin_indices
-    # (-1)^m offsets the -T/2 time origin; irrelevant to magnitudes but kept
+    # magnitudes only, so the (-1)^m phase of the -T/2 time origin is not applied
     values = np.abs(spec[m % n]) ** 2
     total = values.sum() * grid.spacing
     if total == 0:

@@ -42,14 +42,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--out", help="override config output directory")
+        p.add_argument("--out", dest="out_dir", metavar="OUT",
+                       help="override config output directory")
 
     p_design = sub.add_parser("design", help="MI water-filling design only")
     add_common(p_design)
 
     p_fit = sub.add_parser("fit", help="full design/fit/baseline pipeline")
     add_common(p_fit)
-    p_fit.add_argument("--starts", type=int, help="override number of fit starts")
+    p_fit.add_argument("--starts", dest="n_starts", metavar="STARTS", type=int,
+                       help="override number of fit starts")
 
     p_roc = sub.add_parser("roc", help="Monte Carlo ROC validation")
     add_common(p_roc)
@@ -59,19 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="summarize a fit report CSV")
     p_report.add_argument("fit_csv", help="fit_E*.csv produced by the fit command")
     return parser
-
-
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "starts", None) is not None:
-        updates["n_starts"] = args.starts
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
-    return dataclasses.replace(config, **updates)
 
 
 def _report(fit_csv: str) -> None:
@@ -107,23 +96,23 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         return EXIT_OK
 
+    # a flag's dest names the config field it overrides
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
+        config = dataclasses.replace(load_config(args.config), **overrides)
     except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        if args.command == "design":
-            run_experiment(config, design_only=True)
-            print(f"wrote {Path(config.out_dir) / 'esd_table.csv'}")
-        elif args.command == "fit":
-            run_experiment(config)
-            print(f"wrote {Path(config.out_dir) / 'summary.json'}")
-        elif args.command == "roc":
-            path = run_roc(config, getattr(args, "energy", None))
-            print(f"wrote {path}")
+        if args.command == "roc":
+            path = run_roc(config, args.energy)
+        else:
+            design_only = args.command == "design"
+            run_experiment(config, design_only=design_only)
+            path = Path(config.out_dir) / ("esd_table.csv" if design_only else "summary.json")
+        print(f"wrote {path}")
     except (OSError, ValueError) as exc:
         print(f"config error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG

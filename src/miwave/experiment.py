@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,12 +30,8 @@ from .mtsfm import MtsfmWaveform, esd_on_grid, rms_bandwidth
 from .spectral import Scenario, build_parametric_psd, finite_positive, finite_real, make_grid
 
 __all__ = [
-    "ExperimentConfig",
-    "load_config",
-    "run_experiment",
-    "run_roc",
-    "emit_esd_table",
-    "summarize_boxplot",
+    "ExperimentConfig", "load_config", "run_experiment", "run_roc",
+    "emit_esd_table", "summarize_boxplot",
 ]
 
 _FMT = ".12g"  # fixed float formatting for reproducible output files
@@ -76,6 +73,9 @@ class ExperimentConfig:
             finite_real(name, getattr(self, name))
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        for name in ("noise_params", "clutter_params"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ValueError(f"{name} must be a mapping, got {getattr(self, name)!r}")
         energies = tuple(float(finite_real("energy_list", e)) for e in self.energy_list)
         if not energies:
             raise ValueError("energy_list must be nonempty")
@@ -101,14 +101,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["energy_list"] = list(self.energy_list)
-        d["p_fa_grid"] = list(self.p_fa_grid)
-        return d
+        return {**d, "energy_list": list(self.energy_list), "p_fa_grid": list(self.p_fa_grid)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**d)
@@ -120,7 +117,10 @@ class ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must be a mapping")
     return ExperimentConfig.from_dict(data)

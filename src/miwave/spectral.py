@@ -211,7 +211,7 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def _flat(f: np.ndarray, W: float, level: float = 1.0) -> np.ndarray:
-    return np.full_like(f, float(level))
+    return np.full_like(f, float(finite_nonnegative("level", level)))
 
 
 def _noise_valley(
@@ -232,7 +232,11 @@ def _clutter_peak(
     osc_height: float = 0.3,
     osc_cycles: float = 4.0,
 ) -> np.ndarray:
+    finite_nonnegative("floor", floor)
+    finite_nonnegative("peak_height", peak_height)
+    finite_nonnegative("osc_height", osc_height)
     finite_positive("peak_width", peak_width)
+    finite_real("osc_cycles", osc_cycles)
     # Gaussian peak at DC plus a cos^2 ripple across the band
     gauss = peak_height * np.exp(-(f**2) / (2.0 * peak_width**2))
     ripple = osc_height * np.cos(2.0 * np.pi * f * osc_cycles / W) ** 2
@@ -248,6 +252,7 @@ def _clutter_notch(
 ) -> np.ndarray:
     if not 0 <= notch_depth <= 1:
         raise ValueError("notch_depth must lie in [0, 1]")
+    finite_nonnegative("level", level)
     finite_positive("notch_width", notch_width)
     return level * (1.0 - notch_depth * np.exp(-(f**2) / (2.0 * notch_width**2)))
 
@@ -259,6 +264,10 @@ def _custom_table(f: np.ndarray, W: float, freqs=None, values=None) -> np.ndarra
     values = np.asarray(values, dtype=float)
     if freqs.ndim != 1 or freqs.shape != values.shape:
         raise ValueError("freqs and values must be 1-D arrays of equal length")
+    if not np.all(np.isfinite(freqs)):
+        raise ValueError("freqs must be finite")
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise ValueError("values must be finite and nonnegative")
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("table frequencies must be strictly increasing")
     return np.interp(f, freqs, values)

@@ -1,8 +1,10 @@
-"""The names the benchmark tracer patches, and every exported name, exist.
+"""The names the benchmark tracer patches, and every exported name, exist,
+and the tracer still tags the spans of real commands.
 
 ``bench/tracer.py`` wraps public functions where their callers look them
-up; a deleted or renamed binding would break the benchmark, not the
-package, so it is checked here. The tracer is loaded by path without
+up and reads its tags from their positional arguments; a deleted or
+renamed binding, or a changed call shape, would break the benchmark, not
+the package, so it is checked here. The tracer is loaded by path without
 writing bytecode next to it.
 """
 
@@ -14,8 +16,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import miwave
+import miwave.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +40,29 @@ def test_every_tracer_binding_resolves(tracer):
     for module_name, attr, _span, _tag in tracer.BINDINGS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_tracer_tags_every_layer_of_the_commands(tracer, tmp_path):
+    d = yaml.safe_load((ROOT / "configs" / "clutter_notch.yaml").read_text())
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({**d, "band_width": 10, "energy_list": [2.0]}))
+    common = ["--config", str(config), "--out", str(tmp_path / "out")]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        # through the module attribute, which the tracer wraps
+        for argv in (["design"], ["fit", "--starts", "1"], ["roc", "--trials", "1000"]):
+            assert miwave.cli.main([*argv, *common]) == 0, argv
+    finally:
+        t.uninstall()
+    fired = {span[0] for span in t.spans}
+    assert {name for _m, _a, name, _t in tracer.BINDINGS} <= fired
+    tagged = {name for _m, _a, name, tag in tracer.BINDINGS if tag}
+    for name, _start, _end, _parent, info in t.spans:
+        if name in tagged:
+            assert info, name
+    metrics = tracer.layer_metrics(t.spans)
+    assert set(metrics) == set(tracer.LAYER_UNITS) - {"trace.overhead_frac"}
 
 
 @pytest.mark.parametrize(

@@ -470,12 +470,19 @@ class TestCli:
             (["design"], "trials", "999", "trials must be >= 1000"),
             (["roc"], "trials", "999", "trials must be >= 1000"),
             (["roc", "--trials", "999"], None, None, "trials must be >= 1000"),
+            (["design"], "noise_kind", "[unclosed", "cfg.yaml is not valid YAML"),
+            (["design"], "noise_params", "5", "noise_params must be a mapping"),
+            (["design"], "noise_params", "[1, 2]", "noise_params must be a mapping"),
+            (["design"], "clutter_params", "5", "clutter_params must be a mapping"),
+            (["design"], "clutter_params", "[1, 2]", "clutter_params must be a mapping"),
         ],
         ids=[
             "seed-flag", "seed-key", "repeated-energy", "energies-print-alike",
             "zero-notch-width", "empty-p_fa", "string-p_fa",
             "k0-design", "k0-fit", "k0-roc", "delta-design", "delta-fit",
-            "trials-design", "trials-roc", "trials-flag",
+            "trials-design", "trials-roc", "trials-flag", "yaml-syntax",
+            "noise_params-int", "noise_params-list", "clutter_params-int",
+            "clutter_params-list",
         ],
     )
     def test_config_value_errors_write_nothing(
@@ -487,6 +494,27 @@ class TestCli:
             del d[key]
             path.write_text(yaml.safe_dump(d) + f"{key}: {literal}\n")
         code = main([*argv, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("flat", {"level": np.nan}, "level must be finite and nonnegative"),
+            ("clutter_peak", {"osc_cycles": np.inf}, "osc_cycles must be finite"),
+            ("custom_table", {"freqs": [-10.0, 0.0, np.inf], "values": [1.0, 2.0, 3.0]},
+             "freqs must be finite"),
+            ("custom_table", {"freqs": [-10.0, np.nan, 10.0], "values": [1.0, 1.0, 1.0]},
+             "freqs must be finite"),
+        ],
+        ids=["flat-level-nan", "osc_cycles-inf", "freqs-inf", "freqs-nan"],
+    )
+    def test_bad_psd_values_are_named_config_errors(
+        self, tmp_path, capsys, kind, params, message
+    ):
+        cfg, path = self._write_cfg(tmp_path, clutter_kind=kind, clutter_params=params)
+        code = main(["design", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]

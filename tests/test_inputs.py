@@ -1,5 +1,6 @@
 """Every public entry point that takes a guarded scalar refuses NaN, +-inf
-and a wrong-signed value with a ValueError that names the parameter."""
+and a wrong-signed value with a ValueError whose message begins with the
+parameter's name (not a generic word such as "values" further on)."""
 
 import numpy as np
 import pytest
@@ -42,10 +43,22 @@ CASES = [
      lambda x: build_parametric_psd("noise_valley", {"n_min": x}, GRID)),
     ("noise_valley", "n_max",
      lambda x: build_parametric_psd("noise_valley", {"n_max": x}, GRID)),
+    ("flat", "level", lambda x: build_parametric_psd("flat", {"level": x}, GRID)),
+    ("clutter_peak", "floor",
+     lambda x: build_parametric_psd("clutter_peak", {"floor": x}, GRID)),
+    ("clutter_peak", "peak_height",
+     lambda x: build_parametric_psd("clutter_peak", {"peak_height": x}, GRID)),
     ("clutter_peak", "peak_width",
      lambda x: build_parametric_psd("clutter_peak", {"peak_width": x}, GRID)),
+    ("clutter_peak", "osc_height",
+     lambda x: build_parametric_psd("clutter_peak", {"osc_height": x}, GRID)),
+    ("clutter_notch", "level",
+     lambda x: build_parametric_psd("clutter_notch", {"level": x}, GRID)),
     ("clutter_notch", "notch_width",
      lambda x: build_parametric_psd("clutter_notch", {"notch_width": x}, GRID)),
+    ("custom_table", "values",
+     lambda x: build_parametric_psd(
+         "custom_table", {"freqs": [-10.0, 0.0, 10.0], "values": [1.0, x, 1.0]}, GRID)),
     ("MtsfmWaveform", "duration", lambda x: MtsfmWaveform(x, 1.0, (1.0,))),
     ("MtsfmWaveform", "energy", lambda x: MtsfmWaveform(1.0, x, (1.0,))),
     ("envelope", "sample_rate",
@@ -84,5 +97,25 @@ CASES = [
     "entry, param, call", CASES, ids=[f"{e}-{p}" for e, p, _ in CASES]
 )
 def test_bad_scalar_is_refused_by_name(entry, param, call, bad):
-    with pytest.raises(ValueError, match=rf"\b{param}\b"):
+    with pytest.raises(ValueError, match=rf"^{param}\b"):
+        call(bad)
+
+
+# parameters that may be negative: only NaN and +-inf are refused
+SIGNED_CASES = [
+    ("clutter_peak", "osc_cycles",
+     lambda x: build_parametric_psd("clutter_peak", {"osc_cycles": x}, GRID)),
+    ("custom_table", "freqs",
+     lambda x: build_parametric_psd(
+         "custom_table", {"freqs": [-10.0, x, 10.0], "values": [1.0, 1.0, 1.0]}, GRID)),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize(
+    "entry, param, call", SIGNED_CASES, ids=[f"{e}-{p}" for e, p, _ in SIGNED_CASES]
+)
+def test_non_finite_signed_scalar_is_refused_by_name(entry, param, call, bad):
+    assert isinstance(call(-1.0), SpectralDensity)
+    with pytest.raises(ValueError, match=rf"^{param}\b"):
         call(bad)
