@@ -90,10 +90,12 @@ def match_rms_bandwidth(
     b_max = grid.band_width
     r_max = resid(b_max)
     if r_max < 0:
-        warnings.warn(
+        # no source file or line: the message alone reaches stderr, which
+        # then does not depend on where the caller sits in its file
+        warnings.warn_explicit(
             f"RMS-bandwidth target {target_beta_rms:.4g} rad/s unreachable; "
             "clamping the comparator to a full-band sweep",
-            stacklevel=2,
+            UserWarning, "miwave", 0, module=__name__,
         )
         return LfmWaveform(duration, energy, float(b_max))
     # residuals below the root are negative, so lo keeps f_lo < 0 <= f_hi

@@ -8,7 +8,9 @@ the deflection metric
 
 through the ROC relation P_D = P_FA^(1/(1+d^2)). The Monte Carlo
 harness simulates the bin-domain signal model x = A*s + h*s + n and
-thresholds the same statistic empirically.
+thresholds the same statistic empirically. It draws each bin's total
+interference h*s + n as one complex Gaussian: h and n are independent
+circular Gaussians, so their sum is exactly CN(0, T*(P_h |s|^2 + P_n)).
 """
 
 from __future__ import annotations
@@ -39,9 +41,12 @@ class MonteCarloRoc:
     g = P_D/((1+d^2)*p_fa). The covariance of the two terms is not
     negative and is left out, so this bounds the variance from above.
 
-    :func:`monte_carlo_roc` streams its trials in chunks but draws the
-    same numbers in the same order as holding every (trials x bins)
-    sample at once, so a seed gives the same points either way.
+    :func:`monte_carlo_roc` draws one complex interference sample per
+    bin and trial, h*s + n ~ CN(0, T*(P_h |s|^2 + P_n)), which is exact
+    for independent circular clutter and noise. It streams its trials in
+    chunks but draws the same numbers in the same order as holding every
+    (trials x bins) sample at once, so a seed gives the same points
+    either way.
     """
 
     trials: int
@@ -86,25 +91,22 @@ def check_roc_params(trials, p_fa_grid) -> tuple[int, tuple]:
 _CHUNK_DOUBLES = 1 << 16
 
 
-def _projected_draws(rng, coefs, trials: int) -> np.ndarray:
-    """Sum over coefs of Z @ coef, Z a fresh standard-normal (trials x bins)
-    block, drawn without ever holding Z.
+def _projected_draws(rng, coef, trials: int) -> np.ndarray:
+    """Z @ coef for Z[t, m] = N[t, 2m] + 1j*N[t, 2m+1], N a fresh
+    standard-normal (trials x 2*bins) block, drawn without ever holding N.
 
-    Each Z is drawn in row chunks of about ``_CHUNK_DOUBLES`` values. A
-    generator fills sequentially and caches nothing, so the chunks hold
-    the numbers of one whole draw of Z.
+    N is drawn in row chunks of about ``_CHUNK_DOUBLES`` values, each
+    viewed in place as complex. A generator fills sequentially and
+    caches nothing, so the chunks hold the numbers of one whole draw of N.
     """
-    bins = coefs[0].size
-    rows = min(trials, max(1, _CHUNK_DOUBLES // bins))
-    chunk = np.empty((rows, bins))
-    acc = np.zeros((trials, 2))
-    for coef in coefs:
-        real_coef = np.column_stack([coef.real, coef.imag])
-        for start in range(0, trials, rows):
-            z = chunk[: min(rows, trials - start)]
-            rng.standard_normal(out=z)
-            acc[start : start + z.shape[0]] += z @ real_coef
-    return acc[:, 0] + 1j * acc[:, 1]
+    rows = min(trials, max(1, _CHUNK_DOUBLES // (2 * coef.size)))
+    chunk = np.empty((rows, 2 * coef.size))
+    out = np.empty(trials, dtype=complex)
+    for start in range(0, trials, rows):
+        z = chunk[: min(rows, trials - start)]
+        rng.standard_normal(out=z)
+        out[start : start + z.shape[0]] = z.view(complex) @ coef
+    return out
 
 
 def monte_carlo_roc(
@@ -116,22 +118,27 @@ def monte_carlo_roc(
 ) -> MonteCarloRoc:
     """Empirical ROC of the NP receiver by direct simulation.
 
-    Each trial draws per-bin channel and noise samples with variances
-    P_h(f_m)*T and P_n(f_m)*T (the Fourier coefficient of a stationary
-    process over a window of length T has variance PSD*T), plus a fresh
-    target amplitude A ~ CN(0, sigma_A^2) under H1. Thresholds are the
-    empirical H0 quantiles at the requested false-alarm rates, and the
-    standard errors include the noise of those quantiles (see
-    :class:`MonteCarloRoc`).
+    Each trial draws every bin's interference x0_m = h_m*s_m + n_m, the
+    clutter and noise the receiver sees in that bin. h_m and n_m are
+    independent circular Gaussians with variances P_h(f_m)*T and
+    P_n(f_m)*T (the Fourier coefficient of a stationary process over a
+    window of length T has variance PSD*T), so x0_m is exactly
+    CN(0, T*(P_h|s_m|^2 + P_n)) and is drawn as that one complex
+    Gaussian. Under H1 a fresh target amplitude A ~ CN(0, sigma_A^2)
+    adds A*s_m. The receiver weights each bin's sample, so the test
+    statistic is still simulated bin by bin rather than drawn from its
+    closed-form distribution. Thresholds are the empirical H0 quantiles
+    at the requested false-alarm rates, and the standard errors include
+    the noise of those quantiles (see :class:`MonteCarloRoc`).
 
     The statistic is linear in the draws, so no (trials x bins) array is
-    formed. One ``default_rng(seed)`` stream gives four standard-normal
-    (trials x bins) blocks, in this order: clutter real, clutter
-    imaginary, noise real, noise imaginary. Each block is drawn in row
-    chunks, and each chunk is reduced at once to its per-trial share of
-    the H0 receiver output u0. The amplitude's real and imaginary parts
+    formed. One ``default_rng(seed)`` stream gives a standard-normal
+    (trials x 2*bins) block; a row holds its trial's bins in order, each
+    as a real then an imaginary part. The block is drawn in row chunks,
+    and each chunk is reduced at once to its per-trial share of the H0
+    receiver output u0. The amplitude's real and imaginary parts
     (trials each) follow. Memory is O(trials + chunk), and the numbers
-    drawn are those of drawing each block whole, so a seed gives the
+    drawn are those of drawing the block whole, so a seed gives the
     same ROC as that formulation.
     """
     trials, p_fa_grid = check_roc_params(trials, p_fa_grid)
@@ -144,17 +151,13 @@ def monte_carlo_roc(
     p_fa_grid = np.asarray(p_fa_grid)
 
     rng = np.random.default_rng(seed)
-    bin_var = scenario.grid.duration  # PSD -> Fourier-coefficient variance
-    var_h = scenario.channel_psd.values * bin_var
-    var_n = scenario.noise_psd.values * bin_var
     denom = scenario.channel_psd.values * np.abs(s) ** 2 + scenario.noise_psd.values
     weight = np.conj(s) / denom
 
-    # x0 = sqrt(var_h/2)*(Zr + 1j*Zi)*s + sqrt(var_n/2)*(Nr + 1j*Ni), so
-    # u0 = x0 @ weight sums one term per block
-    clutter = np.sqrt(var_h / 2.0) * s * weight
-    noise = np.sqrt(var_n / 2.0) * weight
-    u0 = _projected_draws(rng, (clutter, 1j * clutter, noise, 1j * noise), trials)
+    # x0 = sqrt(T*denom/2)*Z (T: PSD -> Fourier-coefficient variance), so
+    # u0 = x0 @ weight = Z @ (sqrt(T*denom/2)*weight)
+    scale = np.sqrt(scenario.grid.duration * denom / 2.0)
+    u0 = _projected_draws(rng, scale * weight, trials)
     amp_scale = np.sqrt(scenario.target_variance / 2.0)
     amp = amp_scale * (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
 

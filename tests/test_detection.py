@@ -90,20 +90,18 @@ class TestAnalyticRoc:
 
 
 def _full_array_roc(s, scenario, trials, seed, p_fa_grid):
-    """Reference: every (trials x bins) sample held at once, as drawn before
-    monte_carlo_roc streamed them."""
+    """Reference: every (trials x bins) sample held at once. Each bin's
+    clutter plus noise h*s + n is one CN(0, T*(P_h|s|^2 + P_n)) draw, whose
+    real and imaginary parts alternate along a (trials x 2*bins) block."""
     rng = np.random.default_rng(seed)
-
-    def cn(var, shape):
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return np.sqrt(var / 2.0) * z
-
     T = scenario.grid.duration
     p_h, p_n = scenario.channel_psd.values, scenario.noise_psd.values
     weight = np.conj(s) / (p_h * np.abs(s) ** 2 + p_n)
-    shape = (trials, s.size)
-    x0 = cn(p_h * T, shape) * s + cn(p_n * T, shape)
-    x1 = cn(np.array(scenario.target_variance), (trials, 1)) * s + x0
+    z = rng.standard_normal((trials, 2 * s.size))
+    z_re, z_im = z[:, 0::2], z[:, 1::2]
+    x0 = np.sqrt(T * (p_h * np.abs(s) ** 2 + p_n) / 2.0) * (z_re + 1j * z_im)
+    amp = rng.standard_normal((trials, 1)) + 1j * rng.standard_normal((trials, 1))
+    x1 = np.sqrt(scenario.target_variance / 2.0) * amp * s + x0
     stat0 = np.abs(x0 @ weight) ** 2
     stat1 = np.abs(x1 @ weight) ** 2
     thresholds = np.quantile(stat0, 1.0 - np.asarray(p_fa_grid))
@@ -171,6 +169,23 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(mc.p_fa, p_fa)
         np.testing.assert_array_equal(mc.p_d, p_d)
         np.testing.assert_allclose(mc.thresholds, thresholds, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("band_width", [10.0, 100.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_h0_thresholds_are_exponential_quantiles(self, band_width, seed):
+        # under H0, u0 = sum_m x0_m*w_m is CN(0, sigma0^2) with
+        # sigma0^2 = T*sum |s|^2/(P_h|s|^2 + P_n), so |u0|^2 is exponential
+        # and its 1 - p quantile is -sigma0^2*ln(p); a wrong per-bin
+        # interference variance moves sigma0^2
+        s, sc = _colored_case(band_width)
+        trials, p_fa_grid = 100000, np.array([0.001, 0.01, 0.1, 0.5])
+        mc = monte_carlo_roc(s, sc, trials, seed, p_fa_grid)
+        denom = sc.channel_psd.values * np.abs(s) ** 2 + sc.noise_psd.values
+        var0 = sc.grid.duration * np.sum(np.abs(s) ** 2 / denom)
+        # standard error of a sample quantile: sqrt(p(1-p)/n)/density there
+        se = np.sqrt(p_fa_grid * (1 - p_fa_grid) / trials) * var0 / p_fa_grid
+        z = (mc.thresholds + var0 * np.log(p_fa_grid)) / se
+        assert np.all(np.abs(z) <= 5), z
 
     def test_memory_does_not_scale_with_trials_times_bins(self):
         s, sc = _colored_case(100.0)

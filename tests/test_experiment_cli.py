@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -840,3 +841,21 @@ def test_no_command_imports_scipy(tmp_path, command):
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.splitlines()[-1] == ""
+
+
+def test_clamp_warning_names_no_source_file(tmp_path):
+    # stderr logs are compared byte for byte across versions, so the clamp
+    # warning must not carry the file and line of the code that called it
+    config = load_config(CONFIG_DIR / "clutter_peak.yaml")
+    path = tmp_path / "clamp.yaml"
+    config = dataclasses.replace(config, energy_list=(8.0,), out_dir=str(tmp_path / "out"))
+    dump_config(config, path)
+    src = str(Path(miwave.experiment.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "miwave.cli", "design", "--config", str(path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert "clamping the comparator" in proc.stderr
+    assert ".py" not in proc.stderr, proc.stderr
