@@ -76,11 +76,9 @@ class ExperimentConfig:
         for name in ("noise_params", "clutter_params"):
             if not isinstance(getattr(self, name), Mapping):
                 raise ValueError(f"{name} must be a mapping, got {getattr(self, name)!r}")
-        energies = tuple(float(finite_real("energy_list", e)) for e in self.energy_list)
+        energies = tuple(float(finite_positive("energy_list", e)) for e in self.energy_list)
         if not energies:
             raise ValueError("energy_list must be nonempty")
-        for e in energies:
-            finite_positive("energy_list", e)
         if len({_f(e) for e in energies}) < len(energies):  # _f names their files
             raise ValueError(f"energy_list must not repeat a value at %.12g, got {energies}")
         # the rules of fit and monte_carlo_roc, checked before anything runs
@@ -107,7 +105,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         extra = set(d) - {f.name for f in dataclasses.fields(cls)}
         if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+            raise ValueError(f"unknown config keys: {sorted(extra, key=str)}")
         return cls(**d)
 
     def content_hash(self) -> str:

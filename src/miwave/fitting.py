@@ -69,8 +69,8 @@ LINE_SEARCH_FAILED = "ABNORMAL: NO SUFFICIENT DECREASE ALONG THE SEARCH PATH"
 
 @dataclass(frozen=True)
 class OfdmTarget:
-    """Target spectrum magnitude as real multicarrier coefficients, a centred
-    array ``c`` of odd size (``half_order`` derived), and ``energy`` > 0."""
+    """Target spectrum magnitude as real multicarrier coefficients, a finite
+    centred array ``c`` of odd size (``half_order`` derived), and ``energy`` > 0."""
 
     c: np.ndarray = field(repr=False)
     half_order: int = field(init=False)
@@ -81,6 +81,8 @@ class OfdmTarget:
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError(f"c must be 1-D of odd size, got shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("c must be finite")
         object.__setattr__(self, "c", read_only(c.copy()))
         object.__setattr__(self, "half_order", c.size // 2)
 

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FrequencyGrid, SpectralDensity, finite_positive, read_only, recentre
+from .spectral import (
+    FrequencyGrid, SpectralDensity, finite_positive, finite_real, read_only, recentre,
+)
 
 __all__ = [
     "MtsfmWaveform",
     "phase",
-    "modulation",
     "envelope",
     "time_series",
     "coefficients",
@@ -55,11 +56,9 @@ class MtsfmWaveform:
     def __post_init__(self) -> None:
         finite_positive("duration", self.duration)
         finite_positive("energy", self.energy)
-        beta = tuple(float(b) for b in self.mod_indices)
+        beta = tuple(float(finite_real("mod_indices", b)) for b in self.mod_indices)
         if len(beta) < 1:
             raise ValueError("at least one modulation index is required")
-        if not all(math.isfinite(b) for b in beta):
-            raise ValueError("modulation indices must be finite")
         object.__setattr__(self, "mod_indices", beta)
 
     @property
@@ -73,12 +72,6 @@ class MtsfmWaveform:
         return float(
             sum((k + 1) * abs(b) for k, b in enumerate(self.mod_indices))
         )
-
-
-def _check_support(w: MtsfmWaveform, t: np.ndarray) -> None:
-    half = w.duration / 2.0
-    if np.any(t < -half) or np.any(t > half):
-        raise ValueError("t outside the waveform support [-T/2, T/2]")
 
 
 def _harmonic_cosines(t: np.ndarray, num_harmonics: int, duration: float) -> np.ndarray:
@@ -102,27 +95,16 @@ def _phase_sum(cos_kt: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def phase(w: MtsfmWaveform, t) -> np.ndarray | float:
     """Instantaneous phase phi(t) = -sum_k beta_k cos(2*pi*k*t/T)."""
     t_arr = np.asarray(t, dtype=float)
-    _check_support(w, t_arr)
+    if np.any(np.abs(t_arr) > w.duration / 2.0):
+        raise ValueError("t outside the waveform support [-T/2, T/2]")
     cos_kt = _harmonic_cosines(t_arr, w.num_harmonics, w.duration)
     out = _phase_sum(cos_kt, np.array([w.mod_indices]))[0]
     return out if out.ndim else float(out)
 
 
-def modulation(w: MtsfmWaveform, t) -> np.ndarray | float:
-    """Frequency modulation m(t) = sum_k b_k sin(2*pi*k*t/T), b_k = beta_k*k/T."""
-    t_arr = np.asarray(t, dtype=float)
-    _check_support(w, t_arr)
-    k = np.arange(1, w.num_harmonics + 1)
-    b = np.array(w.mod_indices) * k / w.duration
-    out = np.sum(
-        b * np.sin(2.0 * np.pi * np.multiply.outer(t_arr, k) / w.duration),
-        axis=-1,
-    )
-    return out if out.ndim else float(out)
-
-
 def max_instantaneous_freq(w: MtsfmWaveform) -> float:
-    """Upper bound sum_k |b_k| on |m(t)| in Hz."""
+    """Upper bound sum_k k*|beta_k|/T, in Hz, on the instantaneous
+    frequency |phi'(t)|/(2*pi)."""
     return w.index_weight / w.duration
 
 

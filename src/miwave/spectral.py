@@ -46,27 +46,34 @@ def as_int(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def finite_real(name: str, value):
-    """``value`` unchanged; ``ValueError`` unless a finite non-bool real."""
+def _finite(name: str, value, rule: str, ok=math.isfinite):
+    """``value`` unchanged; ``ValueError`` unless it is a number, that is
+    a non-bool real, whose float is finite and passes ``ok``. An integer
+    past the float range counts as infinite. The body of the rules below."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not (math.isfinite(x) and ok(x)):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+def finite_real(name: str, value):
+    """``value`` unchanged; ``ValueError`` unless a finite number."""
+    return _finite(name, value, "finite")
 
 
 def finite_positive(name: str, value):
-    """``value`` unchanged; ``ValueError`` unless finite and > 0 (NaN fails)."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return value
+    """``value`` unchanged; ``ValueError`` unless a finite number > 0."""
+    return _finite(name, value, "finite and positive", lambda x: x > 0)
 
 
 def finite_nonnegative(name: str, value):
-    """``value`` unchanged; ``ValueError`` unless finite and >= 0 (NaN fails)."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    return value
+    """``value`` unchanged; ``ValueError`` unless a finite number >= 0."""
+    return _finite(name, value, "finite and nonnegative", lambda x: x >= 0)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -250,7 +257,7 @@ def _clutter_notch(
     notch_depth: float = 0.98,
     notch_width: float = 1.5,
 ) -> np.ndarray:
-    if not 0 <= notch_depth <= 1:
+    if not 0 <= finite_real("notch_depth", notch_depth) <= 1:
         raise ValueError("notch_depth must lie in [0, 1]")
     finite_nonnegative("level", level)
     finite_positive("notch_width", notch_width)
@@ -260,14 +267,10 @@ def _clutter_notch(
 def _custom_table(f: np.ndarray, W: float, freqs=None, values=None) -> np.ndarray:
     if freqs is None or values is None:
         raise ValueError("custom_table requires 'freqs' and 'values'")
-    freqs = np.asarray(freqs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if freqs.ndim != 1 or freqs.shape != values.shape:
+    freqs = np.array([float(finite_real("freqs", x)) for x in freqs])
+    values = np.array([float(finite_nonnegative("values", v)) for v in values])
+    if freqs.size != values.size:
         raise ValueError("freqs and values must be 1-D arrays of equal length")
-    if not np.all(np.isfinite(freqs)):
-        raise ValueError("freqs must be finite")
-    if not np.all(np.isfinite(values) & (values >= 0)):
-        raise ValueError("values must be finite and nonnegative")
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("table frequencies must be strictly increasing")
     return np.interp(f, freqs, values)

@@ -79,6 +79,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(path)
 
+    def test_rejects_unknown_keys_of_mixed_types(self, tmp_path):
+        # YAML reads the key 1 as an int, which does not sort against a str
+        path = tmp_path / "bad.yaml"
+        d = smoke_config(tmp_path / "out").to_dict()
+        path.write_text(yaml.safe_dump(d) + "1: 2\nbogus: 3\n")
+        with pytest.raises(ValueError, match=re.escape("unknown config keys: [1, 'bogus']")):
+            load_config(path)
+
     def test_rejects_bad_energy_list(self, tmp_path):
         with pytest.raises(ValueError):
             smoke_config(tmp_path, energy_list=())
@@ -476,6 +484,7 @@ class TestCli:
             (["design"], "noise_params", "[1, 2]", "noise_params must be a mapping"),
             (["design"], "clutter_params", "5", "clutter_params must be a mapping"),
             (["design"], "clutter_params", "[1, 2]", "clutter_params must be a mapping"),
+            (["design"], "band_width", str(10**400), "band_width must be finite"),
         ],
         ids=[
             "seed-flag", "seed-key", "repeated-energy", "energies-print-alike",
@@ -483,7 +492,7 @@ class TestCli:
             "k0-design", "k0-fit", "k0-roc", "delta-design", "delta-fit",
             "trials-design", "trials-roc", "trials-flag", "yaml-syntax",
             "noise_params-int", "noise_params-list", "clutter_params-int",
-            "clutter_params-list",
+            "clutter_params-list", "band_width-past-float",
         ],
     )
     def test_config_value_errors_write_nothing(
@@ -508,8 +517,15 @@ class TestCli:
              "freqs must be finite"),
             ("custom_table", {"freqs": [-10.0, np.nan, 10.0], "values": [1.0, 1.0, 1.0]},
              "freqs must be finite"),
+            ("flat", {"level": True}, "level must be a number"),
+            ("clutter_notch", {"level": 1.0, "notch_depth": True, "notch_width": 2.0},
+             "notch_depth must be a number"),
+            ("custom_table", {"freqs": [-10.0, 0.0, 10.0], "values": [1.0, True, 1.0]},
+             "values must be a number"),
+            ("flat", {"level": 10**400}, "level must be finite and nonnegative"),
         ],
-        ids=["flat-level-nan", "osc_cycles-inf", "freqs-inf", "freqs-nan"],
+        ids=["flat-level-nan", "osc_cycles-inf", "freqs-inf", "freqs-nan",
+             "flat-level-bool", "notch_depth-bool", "values-bool", "flat-level-past-float"],
     )
     def test_bad_psd_values_are_named_config_errors(
         self, tmp_path, capsys, kind, params, message

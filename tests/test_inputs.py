@@ -1,6 +1,7 @@
-"""Every public entry point that takes a guarded scalar refuses NaN, +-inf
-and a wrong-signed value with a ValueError whose message begins with the
-parameter's name (not a generic word such as "values" further on)."""
+"""Every public entry point that takes a guarded scalar refuses NaN, +-inf,
+a wrong-signed value, a bool, a string and an integer past the float range
+with a ValueError whose message begins with the parameter's name (not a
+generic word such as "values" further on)."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from miwave import (
     analytic_roc,
     build_parametric_psd,
     esd_for_lambda,
+    esd_on_grid,
     fit,
     lfm_esd,
     lfm_time_series,
@@ -92,9 +94,24 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1], ids=repr)
+BIG = 10**400  # an integer whose float() overflows
+# as_int takes any integer from its minimum up, so BIG is no bad count or seed
+AS_INT = {"k_harmonics", "n_starts", "seed", "trials"}
+
+
+def _rows(cases, bads):
+    """(entry, param, call, bad) for each case and bad value, with BIG
+    left out of the as_int parameters; ids read entry-param-repr(bad)."""
+    return [
+        pytest.param(e, p, call, bad, id=f"{e}-{p}-{'10**400' if bad is BIG else repr(bad)}")
+        for e, p, call in cases
+        for bad in bads
+        if not (bad is BIG and p in AS_INT)
+    ]
+
+
 @pytest.mark.parametrize(
-    "entry, param, call", CASES, ids=[f"{e}-{p}" for e, p, _ in CASES]
+    "entry, param, call, bad", _rows(CASES, [np.nan, np.inf, -np.inf, -1, True, "1.0", BIG])
 )
 def test_bad_scalar_is_refused_by_name(entry, param, call, bad):
     with pytest.raises(ValueError, match=rf"^{param}\b"):
@@ -108,14 +125,21 @@ SIGNED_CASES = [
     ("custom_table", "freqs",
      lambda x: build_parametric_psd(
          "custom_table", {"freqs": [-10.0, x, 10.0], "values": [1.0, 1.0, 1.0]}, GRID)),
+    ("MtsfmWaveform", "mod_indices",
+     lambda x: esd_on_grid(MtsfmWaveform(1.0, 1.0, (x,)), GRID)),
 ]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
 @pytest.mark.parametrize(
-    "entry, param, call", SIGNED_CASES, ids=[f"{e}-{p}" for e, p, _ in SIGNED_CASES]
+    "entry, param, call, bad", _rows(SIGNED_CASES, [np.nan, np.inf, -np.inf, True, "1.0", BIG])
 )
 def test_non_finite_signed_scalar_is_refused_by_name(entry, param, call, bad):
     assert isinstance(call(-1.0), SpectralDensity)
     with pytest.raises(ValueError, match=rf"^{param}\b"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+def test_non_finite_target_coefficient_is_refused_by_name(bad):
+    with pytest.raises(ValueError, match=r"^c must be finite"):
+        OfdmTarget(np.array([bad, 1.0, 0.5]), 1.0)

@@ -13,7 +13,7 @@ from miwave import (
     time_series,
 )
 from miwave import mtsfm
-from miwave.mtsfm import max_instantaneous_freq, modulation, phase
+from miwave.mtsfm import max_instantaneous_freq, phase
 from miwave.spectral import recentre
 
 
@@ -33,21 +33,6 @@ class TestPhaseAndModulation:
         w = MtsfmWaveform(2.0, 1.0, (0.7, -0.3, 1.1))
         t = np.linspace(0, 0.99, 40)
         np.testing.assert_allclose(phase(w, t), phase(w, -t), atol=1e-14)
-
-    def test_modulation_single_harmonic(self):
-        w = MtsfmWaveform(1.0, 1.0, (3.0,))
-        t = np.linspace(-0.5, 0.5, 21)
-        np.testing.assert_allclose(
-            modulation(w, t), 3.0 * np.sin(2 * np.pi * t), atol=1e-12
-        )
-
-    def test_modulation_is_phase_derivative(self):
-        # m(t) = phi'(t) / (2*pi), checked by central differences
-        w = MtsfmWaveform(1.3, 2.0, (0.8, 0.2, -0.5))
-        t = np.linspace(-0.6, 0.6, 101)[1:-1]
-        h = 1e-6
-        fd = (phase(w, t + h) - phase(w, t - h)) / (2 * h) / (2 * np.pi)
-        np.testing.assert_allclose(modulation(w, t), fd, atol=1e-6)
 
     def test_support_check(self):
         w = MtsfmWaveform(1.0, 1.0, (1.0,))
