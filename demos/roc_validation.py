@@ -6,11 +6,8 @@ clutter-notch scene, simulates the receiver on 100k synthetic trials,
 and prints empirical versus analytic detection rates.
 """
 
-import numpy as np
-
 from miwave import (
     Scenario,
-    analytic_roc,
     build_parametric_psd,
     design_mi,
     detection_metric,
@@ -31,12 +28,11 @@ print(f"designed waveform detection metric d^2 = {d2:.4f}")
 
 p_fa_grid = (0.001, 0.01, 0.1)
 trials = 100000
-mc = monte_carlo_roc(np.sqrt(design.esd.values), scenario, trials, seed=0,
-                     p_fa_grid=p_fa_grid)
+mc = monte_carlo_roc(design.esd, scenario, trials, seed=0, p_fa_grid=p_fa_grid)
 
 print(f"\n{trials} trials, seed 0:")
 print(f"{'P_FA':>8} {'P_D analytic':>14} {'P_D empirical':>14} {'devs':>6}")
-for (p_fa, p_d), p_hat, se in zip(analytic_roc(d2, p_fa_grid), mc.p_d, mc.p_d_stderr):
+for p_fa, p_d, p_hat, se in zip(p_fa_grid, mc.p_d_analytic, mc.p_d, mc.p_d_stderr):
     dev = abs(p_hat - p_d) / max(se, 1e-12)
     print(f"{p_fa:8.3f} {p_d:14.4f} {p_hat:14.4f} {dev:6.1f}")
 print("\n(deviations are in standard errors that include the threshold noise)")

@@ -8,9 +8,7 @@ the deflection metric
 
 through the ROC relation P_D = P_FA^(1/(1+d^2)). The Monte Carlo
 harness simulates the bin-domain signal model x = A*s + h*s + n and
-thresholds the same statistic empirically. It draws each bin's total
-interference h*s + n as one complex Gaussian: h and n are independent
-circular Gaussians, so their sum is exactly CN(0, T*(P_h |s|^2 + P_n)).
+thresholds the same statistic empirically.
 """
 
 from __future__ import annotations
@@ -31,22 +29,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MonteCarloRoc:
-    """Empirical ROC points at the requested false-alarm rates.
+    """Empirical ROC points at the requested false-alarm rates, with the
+    analytic P_D = p_fa^(1/(1+d^2)) of :func:`analytic_roc` at the same
+    rates as ``p_d_analytic``.
 
-    ``p_d_stderr`` is the standard error of ``p_d`` at the analytic
-    P_D = p_fa^(1/(1+d^2)). The threshold is an empirical H0 quantile,
-    so ``p_d`` carries the threshold's noise as well as its own binomial
-    noise: to first order the variance is
-    (P_D*(1-P_D) + g^2*p_fa*(1-p_fa))/trials with the ROC slope
-    g = P_D/((1+d^2)*p_fa). The covariance of the two terms is not
+    ``p_d_stderr`` is the standard error of ``p_d`` at ``p_d_analytic``.
+    The threshold is an empirical H0 quantile, so ``p_d`` carries the
+    threshold's noise as well as its own binomial noise: to first order
+    the variance is (P_D*(1-P_D) + g^2*p_fa*(1-p_fa))/trials with the ROC
+    slope g = P_D/((1+d^2)*p_fa). The covariance of the two terms is not
     negative and is left out, so this bounds the variance from above.
-
-    :func:`monte_carlo_roc` draws one complex interference sample per
-    bin and trial, h*s + n ~ CN(0, T*(P_h |s|^2 + P_n)), which is exact
-    for independent circular clutter and noise. It streams its trials in
-    chunks but draws the same numbers in the same order as holding every
-    (trials x bins) sample at once, so a seed gives the same points
-    either way.
     """
 
     trials: int
@@ -54,6 +46,7 @@ class MonteCarloRoc:
     p_fa: np.ndarray = field(repr=False)
     p_d: np.ndarray = field(repr=False)
     p_d_stderr: np.ndarray = field(repr=False)
+    p_d_analytic: np.ndarray = field(repr=False)
 
 
 def detection_metric(esd: SpectralDensity, scenario: Scenario) -> float:
@@ -110,13 +103,19 @@ def _projected_draws(rng, coef, trials: int) -> np.ndarray:
 
 
 def monte_carlo_roc(
-    waveform_spectrum_bins,
+    esd: SpectralDensity,
     scenario: Scenario,
     trials: int,
     seed: int,
     p_fa_grid=(0.001, 0.01, 0.1, 0.5),
 ) -> MonteCarloRoc:
-    """Empirical ROC of the NP receiver by direct simulation.
+    """Empirical ROC of the NP receiver for a transmit ESD, by simulation;
+    ValueError unless ``esd`` and ``scenario`` share a grid.
+
+    The bin spectrum is s_m = sqrt(ESD(f_m)), since the statistic's law
+    depends on s only through |s|^2: the weight conj(s_m)/(P_h|s_m|^2 +
+    P_n) strips the phase of s_m from the target term A*s_m, and leaves
+    circular interference circular.
 
     Each trial draws every bin's interference x0_m = h_m*s_m + n_m, the
     clutter and noise the receiver sees in that bin. h_m and n_m are
@@ -133,26 +132,22 @@ def monte_carlo_roc(
 
     The statistic is linear in the draws, so no (trials x bins) array is
     formed. One ``default_rng(seed)`` stream gives a standard-normal
-    (trials x 2*bins) block; a row holds its trial's bins in order, each
-    as a real then an imaginary part. The block is drawn in row chunks,
-    and each chunk is reduced at once to its per-trial share of the H0
-    receiver output u0. The amplitude's real and imaginary parts
-    (trials each) follow. Memory is O(trials + chunk), and the numbers
-    drawn are those of drawing the block whole, so a seed gives the
-    same ROC as that formulation.
+    (trials x 2*bins) block, a row holding its trial's bins in order, real
+    then imaginary part; it is drawn in row chunks, each reduced at once
+    to its per-trial share of the H0 receiver output u0. The amplitude's
+    real and imaginary parts (trials each) follow. Memory is
+    O(trials + chunk), and a seed gives the same ROC as drawing the block
+    whole.
     """
     trials, p_fa_grid = check_roc_params(trials, p_fa_grid)
-    seed = as_int("seed", seed, 0)
-    s = np.asarray(waveform_spectrum_bins, dtype=complex)
-    if s.shape != (scenario.grid.num_bins,):
-        raise ValueError("waveform spectrum must match the scenario grid")
-    if not np.isfinite(s).all():
-        raise ValueError("waveform spectrum must be finite")
+    rng = np.random.default_rng(as_int("seed", seed, 0))
+    d2 = detection_metric(esd, scenario)
+    p_d = np.array([p for _, p in analytic_roc(d2, p_fa_grid)])
     p_fa_grid = np.asarray(p_fa_grid)
 
-    rng = np.random.default_rng(seed)
-    denom = scenario.channel_psd.values * np.abs(s) ** 2 + scenario.noise_psd.values
-    weight = np.conj(s) / denom
+    s = np.sqrt(esd.values)
+    denom = scenario.channel_psd.values * esd.values + scenario.noise_psd.values
+    weight = s / denom
 
     # x0 = sqrt(T*denom/2)*Z (T: PSD -> Fourier-coefficient variance), so
     # u0 = x0 @ weight = Z @ (sqrt(T*denom/2)*weight)
@@ -168,8 +163,6 @@ def monte_carlo_roc(
     p_fa_hat = np.mean(stat0[:, None] > thresholds[None, :], axis=0)
     p_d_hat = np.mean(stat1[:, None] > thresholds[None, :], axis=0)
 
-    d2 = detection_metric(SpectralDensity(scenario.grid, np.abs(s) ** 2), scenario)
-    p_d = p_fa_grid ** (1.0 / (1.0 + d2))
     slope = p_d / ((1.0 + d2) * p_fa_grid)
     var = p_d * (1.0 - p_d) + slope**2 * p_fa_grid * (1.0 - p_fa_grid)
     return MonteCarloRoc(
@@ -178,4 +171,5 @@ def monte_carlo_roc(
         p_fa=p_fa_hat,
         p_d=p_d_hat,
         p_d_stderr=np.sqrt(var / trials),
+        p_d_analytic=p_d,
     )

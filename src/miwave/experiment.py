@@ -24,7 +24,7 @@ import yaml
 from . import __version__
 from .baselines import match_rms_bandwidth, lfm_esd
 from .design import design_mi
-from .detection import analytic_roc, check_roc_params, detection_metric, monte_carlo_roc
+from .detection import check_roc_params, detection_metric, monte_carlo_roc
 from .fitting import check_fit_params, fit, solve_ofdm_coeffs, support_halfwidth
 from .mtsfm import MtsfmWaveform, esd_on_grid, rms_bandwidth
 from .spectral import Scenario, build_parametric_psd, finite_positive, finite_real, make_grid
@@ -264,8 +264,8 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
 
 
 def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
-    """Monte Carlo ROC validation of the MI design at one energy; writes
-    ``roc.csv`` with analytic and empirical detection probabilities.
+    """Monte Carlo ROC validation of the MI design's ESD at one energy;
+    writes ``roc.csv`` with analytic and empirical detection probabilities.
 
     The ``stderr`` column is the standard error of the empirical P_D,
     including the noise of its empirical H0-quantile threshold (see
@@ -273,19 +273,15 @@ def run_roc(config: ExperimentConfig, energy: float | None = None) -> Path:
     only after the Monte Carlo has run."""
     energy = float(energy if energy is not None else config.energy_list[0])
     scenario = config.scenario(energy)
-    design = _design(config, scenario)
-    d2 = detection_metric(design.esd, scenario)
-    s_bins = np.sqrt(design.esd.values)
     mc = monte_carlo_roc(
-        s_bins, scenario, config.trials, config.seed, config.p_fa_grid
+        _design(config, scenario).esd, scenario, config.trials, config.seed,
+        config.p_fa_grid,
     )
-    pairs = analytic_roc(d2, config.p_fa_grid)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "roc.csv"
-    rows = [(*pair, p_hat, se) for pair, p_hat, se in zip(pairs, mc.p_d, mc.p_d_stderr)]
+    path = Path(config.out_dir) / "roc.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(
         path, ["p_fa", "p_d_analytic", "p_d_empirical", "stderr"],
-        ",".join([_CELL] * 4), rows,
+        ",".join([_CELL] * 4),
+        zip(config.p_fa_grid, mc.p_d_analytic, mc.p_d, mc.p_d_stderr),
     )
     return path

@@ -128,14 +128,12 @@ def solve_ofdm_coeffs(
 def support_halfwidth(target: OfdmTarget) -> int:
     """Smallest half-width kappa capturing (1 - SUPPORT_TOL) of the
     coefficient energy around DC: the first kappa at which the running
-    sum of c_0^2, then c_k^2 + c_-k^2 for k = 1..half_order, reaches it;
-    half_order if none does."""
+    sum of c_0^2, then c_k^2 + c_-k^2 for k = 1..half_order, reaches it."""
     power = target.c**2
     h = target.half_order
     rings = np.concatenate((power[h : h + 1], power[h + 1 :] + power[:h][::-1]))
     hit = np.cumsum(rings) >= (1.0 - SUPPORT_TOL) * power.sum()
-    kappa = int(np.argmax(hit))
-    return kappa if hit[kappa] else h
+    return int(np.argmax(hit))
 
 
 def objective_and_gradient(

@@ -206,9 +206,10 @@ def coefficients(w: MtsfmWaveform) -> np.ndarray:
     return c
 
 
-def spectrum(w: MtsfmWaveform, coeffs: np.ndarray, f) -> np.ndarray | complex:
+def spectrum(w: MtsfmWaveform, f) -> np.ndarray | complex:
     """Truncated multicarrier spectrum sqrt(E*T) * sum_m c_m sinc(T*f - m)
-    of the centred coefficients ``coeffs``."""
+    of the waveform's :func:`coefficients`."""
+    coeffs = coefficients(w)
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
     m = np.arange(coeffs.size) - coeffs.size // 2
     args = w.duration * f_arr[:, None] - m[None, :]

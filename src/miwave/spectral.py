@@ -35,14 +35,22 @@ __all__ = [
 MAX_BINS = 2**18 + 1
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or its size for an integer too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def as_int(name: str, value, minimum: int) -> int:
     """``value`` as a plain int; ``ValueError`` unless it is an integer
     (``numbers.Integral`` but not bool, so not 1e5, 100000.0 or "100000")
     of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
@@ -51,13 +59,13 @@ def _finite(name: str, value, rule: str, ok=math.isfinite):
     a non-bool real, whose float is finite and passes ``ok``. An integer
     past the float range counts as infinite. The body of the rules below."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {_shown(value)}")
     try:
         x = float(value)
     except OverflowError:
         x = math.inf
     if not (math.isfinite(x) and ok(x)):
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+        raise ValueError(f"{name} must be {rule}, got {_shown(value)}")
     return value
 
 

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (run with -s to see them all) and
 asserts the criterion at its stated tolerance.
 """
 
+import csv
 import time
 from pathlib import Path
 
@@ -171,7 +172,7 @@ def test_criterion_5_spectrum_consistency():
         f = np.fft.fftshift(np.fft.fftfreq(pad, 1.0 / n))
         ref = (1.0 / n) * np.exp(1j * np.pi * f) * big
         keep = np.abs(f) <= 2 * (cs.size // 2)
-        model = spectrum(w, cs, f[keep])
+        model = spectrum(w, f[keep])
         err = np.linalg.norm(model - ref[keep]) / np.linalg.norm(ref[keep])
         worst = max(worst, err)
     ok = worst <= 0.01
@@ -195,7 +196,7 @@ def test_criterion_6_roc_validation():
         esd = SpectralDensity(grid, np.full(grid.num_bins, v))
         d2 = detection_metric(esd, sc)
         assert d2 == pytest.approx(d2_target, rel=1e-9)
-        mc = monte_carlo_roc(np.sqrt(esd.values), sc, trials, 0, (0.01, 0.1))
+        mc = monte_carlo_roc(esd, sc, trials, 0, (0.01, 0.1))
         for (p_fa, p_d), p_hat in zip(analytic_roc(d2, (0.01, 0.1)), mc.p_d):
             se = np.sqrt(p_d * (1.0 - p_d) / trials)
             cases.append((d2_target, p_fa, abs(p_hat - p_d) / se))
@@ -229,8 +230,8 @@ def test_criterion_7_planted_recovery():
 
 
 def _fit_d2_column(path: Path) -> np.ndarray:
-    rows = path.read_text().splitlines()[1:]
-    return np.array([float(r.split(",")[3]) for r in rows])
+    with open(path, newline="") as fh:
+        return np.array([float(row["d_squared"]) for row in csv.DictReader(fh)])
 
 
 def test_criterion_8_scene_study(tmp_path):

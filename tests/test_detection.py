@@ -89,11 +89,13 @@ class TestAnalyticRoc:
             analytic_roc(1.0, [0.0])
 
 
-def _full_array_roc(s, scenario, trials, seed, p_fa_grid):
-    """Reference: every (trials x bins) sample held at once. Each bin's
-    clutter plus noise h*s + n is one CN(0, T*(P_h|s|^2 + P_n)) draw, whose
-    real and imaginary parts alternate along a (trials x 2*bins) block."""
+def _full_array_roc(esd, scenario, trials, seed, p_fa_grid):
+    """Reference: every (trials x bins) sample held at once, for the bin
+    spectrum s = sqrt(ESD). Each bin's clutter plus noise h*s + n is one
+    CN(0, T*(P_h|s|^2 + P_n)) draw, whose real and imaginary parts
+    alternate along a (trials x 2*bins) block."""
     rng = np.random.default_rng(seed)
+    s = np.sqrt(esd.values)
     T = scenario.grid.duration
     p_h, p_n = scenario.channel_psd.values, scenario.noise_psd.values
     weight = np.conj(s) / (p_h * np.abs(s) ** 2 + p_n)
@@ -111,15 +113,14 @@ def _full_array_roc(s, scenario, trials, seed, p_fa_grid):
 
 
 def _colored_case(band_width, duration=1.0):
-    # nonzero, bin-varying clutter and a complex waveform spectrum
+    # nonzero, bin-varying clutter and a bin-varying ESD
     grid = make_grid(band_width, duration)
     rng = np.random.default_rng(grid.num_bins)
     noise = SpectralDensity(grid, rng.uniform(0.2, 1.0, grid.num_bins))
     clutter = SpectralDensity(grid, rng.uniform(0.1, 2.0, grid.num_bins))
     sc = Scenario(noise, clutter, 1.5, 1.0)
-    phase = np.exp(2j * np.pi * rng.uniform(size=grid.num_bins))
-    s = rng.uniform(0.0, 1.0, grid.num_bins) * phase
-    return s, sc
+    esd = SpectralDensity(grid, rng.uniform(0.0, 1.0, grid.num_bins) ** 2)
+    return esd, sc
 
 
 class TestMonteCarlo:
@@ -127,45 +128,59 @@ class TestMonteCarlo:
         grid = make_grid(4.0, 1.0)
         sc = _flat_scenario(grid)
         with pytest.raises(ValueError):
-            monte_carlo_roc(np.ones(grid.num_bins), sc, 10, 0)
+            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), sc, 10, 0)
 
     @pytest.mark.parametrize("trials", [20000.0, "20000", True, None])
     def test_rejects_non_integer_trials(self, trials):
         grid = make_grid(4.0, 1.0)
         sc = _flat_scenario(grid)
         with pytest.raises(ValueError, match="trials must be an integer"):
-            monte_carlo_roc(np.ones(grid.num_bins), sc, trials, 0)
+            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), sc, trials, 0)
 
     @pytest.mark.parametrize("seed", [1.5, -1])
     def test_rejects_bad_seed_by_name(self, seed):
         # numpy's own errors for these named no parameter
         grid = make_grid(4.0, 1.0)
         with pytest.raises(ValueError, match="seed must be"):
-            monte_carlo_roc(np.ones(grid.num_bins), _flat_scenario(grid), 2000, seed)
+            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), _flat_scenario(grid), 2000, seed)
 
     def test_accepts_numpy_integer_trials(self):
         grid = make_grid(4.0, 1.0)
-        mc = monte_carlo_roc(np.ones(grid.num_bins), _flat_scenario(grid), np.int64(2000), 0)
+        mc = monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), _flat_scenario(grid), np.int64(2000), 0)
         assert type(mc.trials) is int and mc.trials == 2000
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_spectrum(self, bad):
+        # the ESD's own constructor refuses the value before any draw
         grid = make_grid(4.0, 1.0)
-        s = np.ones(grid.num_bins, dtype=complex)
-        s[1] = bad
+        values = np.ones(grid.num_bins)
+        values[1] = bad
         with pytest.raises(ValueError, match="finite"):
-            monte_carlo_roc(s, _flat_scenario(grid), 2000, 0)
+            monte_carlo_roc(SpectralDensity(grid, values), _flat_scenario(grid), 2000, 0)
+
+    def test_rejects_esd_on_another_grid(self):
+        grid, other = make_grid(4.0, 1.0), make_grid(6.0, 1.0)
+        esd = SpectralDensity(other, np.ones(other.num_bins))
+        with pytest.raises(ValueError, match="ESD and scenario must share a grid"):
+            monte_carlo_roc(esd, _flat_scenario(grid), 2000, 0)
+
+    def test_analytic_column_is_analytic_roc(self):
+        esd, sc = _colored_case(10.0)
+        p_fa_grid = (0.001, 0.01, 0.1, 0.5)
+        mc = monte_carlo_roc(esd, sc, 2000, 0, p_fa_grid)
+        want = [p for _, p in analytic_roc(detection_metric(esd, sc), p_fa_grid)]
+        assert mc.p_d_analytic.tolist() == want
 
     @pytest.mark.parametrize("band_width", [10.0, 100.0])
     @pytest.mark.parametrize("trials", [3001, 20000, "chunk_multiple"])
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_full_array_reference(self, band_width, trials, seed):
-        s, sc = _colored_case(band_width)
+        esd, sc = _colored_case(band_width)
         if trials == "chunk_multiple":
-            trials = 3 * (detection._CHUNK_DOUBLES // s.size)
+            trials = 3 * (detection._CHUNK_DOUBLES // sc.grid.num_bins)
         p_fa_grid = (0.001, 0.01, 0.1, 0.5)
-        mc = monte_carlo_roc(s, sc, trials, seed, p_fa_grid)
-        thresholds, p_fa, p_d = _full_array_roc(s, sc, trials, seed, p_fa_grid)
+        mc = monte_carlo_roc(esd, sc, trials, seed, p_fa_grid)
+        thresholds, p_fa, p_d = _full_array_roc(esd, sc, trials, seed, p_fa_grid)
         np.testing.assert_array_equal(mc.p_fa, p_fa)
         np.testing.assert_array_equal(mc.p_d, p_d)
         np.testing.assert_allclose(mc.thresholds, thresholds, rtol=1e-12, atol=0)
@@ -177,22 +192,22 @@ class TestMonteCarlo:
         # sigma0^2 = T*sum |s|^2/(P_h|s|^2 + P_n), so |u0|^2 is exponential
         # and its 1 - p quantile is -sigma0^2*ln(p); a wrong per-bin
         # interference variance moves sigma0^2
-        s, sc = _colored_case(band_width)
+        esd, sc = _colored_case(band_width)
         trials, p_fa_grid = 100000, np.array([0.001, 0.01, 0.1, 0.5])
-        mc = monte_carlo_roc(s, sc, trials, seed, p_fa_grid)
-        denom = sc.channel_psd.values * np.abs(s) ** 2 + sc.noise_psd.values
-        var0 = sc.grid.duration * np.sum(np.abs(s) ** 2 / denom)
+        mc = monte_carlo_roc(esd, sc, trials, seed, p_fa_grid)
+        denom = sc.channel_psd.values * esd.values + sc.noise_psd.values
+        var0 = sc.grid.duration * np.sum(esd.values / denom)
         # standard error of a sample quantile: sqrt(p(1-p)/n)/density there
         se = np.sqrt(p_fa_grid * (1 - p_fa_grid) / trials) * var0 / p_fa_grid
         z = (mc.thresholds + var0 * np.log(p_fa_grid)) / se
         assert np.all(np.abs(z) <= 5), z
 
     def test_memory_does_not_scale_with_trials_times_bins(self):
-        s, sc = _colored_case(100.0)
-        assert s.size == 101
+        esd, sc = _colored_case(100.0)
+        assert sc.grid.num_bins == 101
         tracemalloc.start()
         try:
-            monte_carlo_roc(s, sc, 20000, 0)
+            monte_carlo_roc(esd, sc, 20000, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -203,8 +218,8 @@ class TestMonteCarlo:
         # sigma_A^2 = 0 makes H1 identical to H0 in distribution
         grid = make_grid(8.0, 1.0)
         sc = _flat_scenario(grid, var_a=0.0)
-        s = np.full(grid.num_bins, np.sqrt(1.0 / grid.num_bins), dtype=complex)
-        mc = monte_carlo_roc(s, sc, 20000, 3, p_fa_grid=(0.05, 0.2))
+        esd = SpectralDensity(grid, np.full(grid.num_bins, 1.0 / grid.num_bins))
+        mc = monte_carlo_roc(esd, sc, 20000, 3, p_fa_grid=(0.05, 0.2))
         for p_fa, p_d in zip(mc.p_fa, mc.p_d):
             se = np.sqrt(p_fa * (1 - p_fa) / mc.trials)
             assert abs(p_d - p_fa) <= 3 * se + 1e-12
@@ -212,17 +227,17 @@ class TestMonteCarlo:
     def test_deterministic_for_seed(self):
         grid = make_grid(8.0, 1.0)
         sc = _flat_scenario(grid)
-        s = np.ones(grid.num_bins, dtype=complex)
-        a = monte_carlo_roc(s, sc, 2000, 9)
-        b = monte_carlo_roc(s, sc, 2000, 9)
+        esd = SpectralDensity(grid, np.ones(grid.num_bins))
+        a = monte_carlo_roc(esd, sc, 2000, 9)
+        b = monte_carlo_roc(esd, sc, 2000, 9)
         np.testing.assert_array_equal(a.p_d, b.p_d)
         np.testing.assert_array_equal(a.thresholds, b.thresholds)
 
     def test_stronger_target_detects_more(self):
         grid = make_grid(8.0, 1.0)
-        s = np.ones(grid.num_bins, dtype=complex)
-        weak = monte_carlo_roc(s, _flat_scenario(grid, var_a=0.5), 20000, 4)
-        strong = monte_carlo_roc(s, _flat_scenario(grid, var_a=4.0), 20000, 4)
+        esd = SpectralDensity(grid, np.ones(grid.num_bins))
+        weak = monte_carlo_roc(esd, _flat_scenario(grid, var_a=0.5), 20000, 4)
+        strong = monte_carlo_roc(esd, _flat_scenario(grid, var_a=4.0), 20000, 4)
         assert np.all(strong.p_d >= weak.p_d)
 
     def test_matches_analytic_roc_with_clutter(self):
@@ -231,9 +246,9 @@ class TestMonteCarlo:
         noise = SpectralDensity(grid, np.full(grid.num_bins, 0.5))
         clutter = SpectralDensity(grid, np.full(grid.num_bins, 0.3))
         sc = Scenario(noise, clutter, 1.0, 4.0)
-        esd = np.full(grid.num_bins, 4.0 / (grid.num_bins * grid.spacing))
-        d2 = detection_metric(SpectralDensity(grid, esd), sc)
-        mc = monte_carlo_roc(np.sqrt(esd), sc, 100000, 0, p_fa_grid=(0.01, 0.1))
+        esd = SpectralDensity(grid, np.full(grid.num_bins, 4.0 / (grid.num_bins * grid.spacing)))
+        d2 = detection_metric(esd, sc)
+        mc = monte_carlo_roc(esd, sc, 100000, 0, p_fa_grid=(0.01, 0.1))
         for (p_fa, p_d), p_hat in zip(analytic_roc(d2, (0.01, 0.1)), mc.p_d):
             se = np.sqrt(p_d * (1 - p_d) / mc.trials)
             assert abs(p_hat - p_d) <= 3 * se
@@ -249,7 +264,7 @@ class TestMonteCarlo:
         p_d = np.array([p for _, p in analytic_roc(d2, p_fa_grid)])
         z = []
         for seed in range(200):
-            mc = monte_carlo_roc(np.sqrt(esd.values), sc, 2000, seed, p_fa_grid)
+            mc = monte_carlo_roc(esd, sc, 2000, seed, p_fa_grid)
             z.append((mc.p_d - p_d) / mc.p_d_stderr)
         spread = np.std(z, axis=0)
         assert np.all((0.8 <= spread) & (spread <= 1.2)), spread

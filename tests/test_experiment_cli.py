@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import miwave.experiment
 import miwave.fitting
-from miwave import OfdmTarget, design_mi, detection_metric, fit, monte_carlo_roc
+from miwave import OfdmTarget, analytic_roc, design_mi, detection_metric, fit, monte_carlo_roc
 from miwave.cli import EXIT_CONFIG, EXIT_OK, main
 from miwave.experiment import (
     ExperimentConfig,
@@ -150,7 +150,7 @@ class TestConfig:
                 fit(target, **{**fit_args, field: value})
             else:
                 roc_args = {**dict(trials=2000, p_fa_grid=(0.1,)), field: value}
-                monte_carlo_roc(np.ones(scene.grid.num_bins), scene, seed=0, **roc_args)
+                monte_carlo_roc(scene.noise_psd, scene, seed=0, **roc_args)
         with pytest.raises(ValueError) as cfg:
             smoke_config(tmp_path, **{field: value})
         assert str(cfg.value) == str(lib.value)
@@ -295,6 +295,15 @@ class TestRunExperiment:
             p_fa, p_d, p_hat, se = map(float, line.split(","))
             assert 0 < p_fa < 1 and 0 <= p_hat <= 1
             assert p_d >= p_fa
+
+    def test_roc_analytic_column_is_analytic_roc(self, tmp_path):
+        cfg = smoke_config(tmp_path / "out", p_fa_grid=(0.001, 0.01, 0.1, 0.5))
+        scene = cfg.scenario(2.0)
+        d2 = detection_metric(design_mi(scene).esd, scene)
+        rows = _csv_rows(run_roc(cfg, 2.0))
+        assert [r["p_fa"] for r in rows] == [f"{p:.12g}" for p in cfg.p_fa_grid]
+        want = [f"{p_d:.12g}" for _, p_d in analytic_roc(d2, cfg.p_fa_grid)]
+        assert [r["p_d_analytic"] for r in rows] == want
 
 
 class TestCli:

@@ -86,32 +86,35 @@ CASES = [
     ("fit", "n_starts", lambda x: fit(TARGET, 2, 0.2, x, 0)),
     ("fit", "seed", lambda x: fit(TARGET, 2, 0.2, 1, x)),
     ("monte_carlo_roc", "trials",
-     lambda x: monte_carlo_roc(np.ones(GRID.num_bins), SCENE, x, 0)),
+     lambda x: monte_carlo_roc(FLAT, SCENE, x, 0)),
     ("monte_carlo_roc", "seed",
-     lambda x: monte_carlo_roc(np.ones(GRID.num_bins), SCENE, 2000, x)),
+     lambda x: monte_carlo_roc(FLAT, SCENE, 2000, x)),
     ("monte_carlo_roc", "p_fa_grid",
-     lambda x: monte_carlo_roc(np.ones(GRID.num_bins), SCENE, 2000, 0, [x])),
+     lambda x: monte_carlo_roc(FLAT, SCENE, 2000, 0, [x])),
 ]
 
 
 BIG = 10**400  # an integer whose float() overflows
+HUGE = 10**5000  # an integer past the digits Python will print
+LONG = {BIG: "10**400", HUGE: "10**5000", -HUGE: "-10**5000"}
 # as_int takes any integer from its minimum up, so BIG is no bad count or seed
 AS_INT = {"k_harmonics", "n_starts", "seed", "trials"}
 
 
 def _rows(cases, bads):
     """(entry, param, call, bad) for each case and bad value, with BIG
-    left out of the as_int parameters; ids read entry-param-repr(bad)."""
+    and HUGE left out of the as_int parameters; ids read
+    entry-param-repr(bad), a long integer shown as its power of ten."""
     return [
-        pytest.param(e, p, call, bad, id=f"{e}-{p}-{'10**400' if bad is BIG else repr(bad)}")
+        pytest.param(e, p, call, bad, id=f"{e}-{p}-{LONG[bad] if bad in LONG else repr(bad)}")
         for e, p, call in cases
         for bad in bads
-        if not (bad is BIG and p in AS_INT)
+        if not (p in AS_INT and bad in LONG and bad > 0)
     ]
 
 
 @pytest.mark.parametrize(
-    "entry, param, call, bad", _rows(CASES, [np.nan, np.inf, -np.inf, -1, True, "1.0", BIG])
+    "entry, param, call, bad", _rows(CASES, [np.nan, np.inf, -np.inf, -1, True, "1.0", BIG, HUGE, -HUGE])
 )
 def test_bad_scalar_is_refused_by_name(entry, param, call, bad):
     with pytest.raises(ValueError, match=rf"^{param}\b"):
@@ -131,7 +134,7 @@ SIGNED_CASES = [
 
 
 @pytest.mark.parametrize(
-    "entry, param, call, bad", _rows(SIGNED_CASES, [np.nan, np.inf, -np.inf, True, "1.0", BIG])
+    "entry, param, call, bad", _rows(SIGNED_CASES, [np.nan, np.inf, -np.inf, True, "1.0", BIG, HUGE])
 )
 def test_non_finite_signed_scalar_is_refused_by_name(entry, param, call, bad):
     assert isinstance(call(-1.0), SpectralDensity)

@@ -92,8 +92,11 @@ class TestSpectralDensity:
             SpectralDensity(small_grid, np.ones(3))
         with pytest.raises(ValueError):
             SpectralDensity(small_grid, -np.ones(small_grid.num_bins))
-        with pytest.raises(ValueError):
-            SpectralDensity(small_grid, np.full(small_grid.num_bins, np.nan))
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.ones(small_grid.num_bins)
+            values[1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                SpectralDensity(small_grid, values)
 
     def test_values_read_only(self, small_grid):
         sd = SpectralDensity(small_grid, np.ones(small_grid.num_bins))

@@ -12,8 +12,10 @@ strings on both sides (the config hash in ``summary.json`` covers
 
 - ``design``, ``fit --starts 6`` and ``roc --trials 20000`` on both shipped
   configs;
-- ``design`` on the four seed-0 ``design_sweep`` configs of the
-  checkout's ``bench/workloads.make_jobs``;
+- the seed-0 ``design_sweep`` and ``roc_mc`` jobs of the checkout's
+  ``bench/workloads.make_jobs``: ``design`` on four generated configs,
+  and ``roc --trials 100000 --energy`` on the notch config at 21 and
+  101 bins, made from the shipped notch config copied into the root;
 - ``report`` on the notch fit's ``fit_E2.csv``.
 
 Every command's stdout and stderr, with the checkout's path cut from the
@@ -45,9 +47,13 @@ ROC_TRIALS = "20000"
 REPORTED = "out/clutter_notch/fit/fit_E2.csv"
 
 
-def _sweep_jobs(checkout: Path, root: Path) -> list:
-    """argv of the seed-0 design_sweep jobs of the checkout's bench, with
-    paths made relative to ``root``, where their configs are written."""
+BENCH_JOBS = ("design_sweep", "roc_mc")
+
+
+def _bench_jobs(checkout: Path, root: Path) -> list:
+    """argv of the seed-0 ``BENCH_JOBS`` of the checkout's bench, made
+    from the shipped configs copied into ``root/configs``, where their
+    own configs are written, with paths made relative to ``root``."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", checkout / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -63,7 +69,7 @@ def _sweep_jobs(checkout: Path, root: Path) -> list:
     prefix = f"{root}{os.sep}"
     return [
         tuple(a[len(prefix):] if a.startswith(prefix) else a for a in job.argv)
-        for job in workloads.make_jobs("design_sweep", 0, checkout, root)
+        for name in BENCH_JOBS for job in workloads.make_jobs(name, 0, root, root)
     ]
 
 
@@ -78,7 +84,7 @@ def matrix(checkout: Path, root: Path) -> list:
             ("fit", "--config", cfg, "--starts", FIT_STARTS, "--out", f"{out}/fit"),
             ("roc", "--config", cfg, "--trials", ROC_TRIALS, "--out", f"{out}/roc"),
         ]
-    return calls + _sweep_jobs(checkout, root) + [("report", REPORTED)]
+    return calls + _bench_jobs(checkout, root) + [("report", REPORTED)]
 
 
 def run_side(checkout: Path, root: Path) -> list:
