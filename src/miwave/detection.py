@@ -13,6 +13,8 @@ thresholds the same statistic empirically.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,26 +82,70 @@ def check_roc_params(trials, p_fa_grid) -> tuple[int, tuple]:
     return as_int("trials", trials, 1000), p_fa
 
 
+# trials per block, the trials drawn from one seeded stream
+_BLOCK_TRIALS = 8192
 # rows of one standard-normal draw hold about this many doubles (512 KiB)
 _CHUNK_DOUBLES = 1 << 16
 
 
-def _projected_draws(rng, coef, trials: int) -> np.ndarray:
-    """Z @ coef for Z[t, m] = N[t, 2m] + 1j*N[t, 2m+1], N a fresh
-    standard-normal (trials x 2*bins) block, drawn without ever holding N.
+def _usable_cpus() -> int:
+    """CPUs this process may run on; ``os.cpu_count()`` where the platform
+    has no affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    N is drawn in row chunks of about ``_CHUNK_DOUBLES`` values, each
-    viewed in place as complex. A generator fills sequentially and
-    caches nothing, so the chunks hold the numbers of one whole draw of N.
-    """
-    rows = min(trials, max(1, _CHUNK_DOUBLES // (2 * coef.size)))
-    chunk = np.empty((rows, 2 * coef.size))
-    out = np.empty(trials, dtype=complex)
-    for start in range(0, trials, rows):
-        z = chunk[: min(rows, trials - start)]
+
+def _draw_block(seed: int, block: int, coef, chunk, u0, amp) -> None:
+    """Fill block ``block``'s slice of ``u0`` with Z @ coef, then that of
+    ``amp`` with standard complex normals, from the block's own stream.
+    Z[t, m] = N[t, 2m] + 1j*N[t, 2m+1] for a standard-normal
+    (rows x 2*bins) block N, drawn in row chunks into ``chunk``. A
+    generator fills sequentially, so the chunks hold one whole draw of N."""
+    lo = block * _BLOCK_TRIALS
+    hi = min(lo + _BLOCK_TRIALS, u0.size)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+    for start in range(lo, hi, chunk.shape[0]):
+        z = chunk[: min(chunk.shape[0], hi - start)]
         rng.standard_normal(out=z)
-        out[start : start + z.shape[0]] = z.view(complex) @ coef
-    return out
+        np.einsum("ij,j->i", z.view(complex), coef,
+                  out=u0[start : start + z.shape[0]])
+    rng.standard_normal(out=amp[lo:hi].view(float))
+
+
+def _projected_draws(seed: int, coef, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(u0, amp)``, ``trials`` each, filled by :func:`_draw_block` on
+    W = min(blocks, usable CPUs) workers. Worker w takes blocks w, w+W, ...
+    with one chunk buffer; worker 0 is the calling thread, so W = 1 starts
+    no thread. A worker's exception is raised once all have stopped. Chunk
+    rows depend only on the bin count, so the results do not depend on W.
+    The sums are einsum loops, not BLAS calls, so no BLAS thread pool
+    competes with the workers."""
+    rows = min(_BLOCK_TRIALS, max(1, _CHUNK_DOUBLES // (2 * coef.size)))
+    u0 = np.empty(trials, dtype=complex)
+    amp = np.empty(trials, dtype=complex)
+    blocks = -(-trials // _BLOCK_TRIALS)
+    workers = min(blocks, _usable_cpus())
+    errors = []
+
+    def work(first: int) -> None:
+        try:
+            chunk = np.empty((rows, 2 * coef.size))
+            for block in range(first, blocks, workers):
+                _draw_block(seed, block, coef, chunk, u0, amp)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return u0, amp
 
 
 def monte_carlo_roc(
@@ -131,16 +177,20 @@ def monte_carlo_roc(
     the noise of those quantiles (see :class:`MonteCarloRoc`).
 
     The statistic is linear in the draws, so no (trials x bins) array is
-    formed. One ``default_rng(seed)`` stream gives a standard-normal
-    (trials x 2*bins) block, a row holding its trial's bins in order, real
-    then imaginary part; it is drawn in row chunks, each reduced at once
-    to its per-trial share of the H0 receiver output u0. The amplitude's
-    real and imaginary parts (trials each) follow. Memory is
-    O(trials + chunk), and a seed gives the same ROC as drawing the block
-    whole.
+    formed. The trials are split into blocks of ``_BLOCK_TRIALS``, and
+    block b draws from its own stream
+    ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, child b of
+    ``SeedSequence(seed).spawn``: first a standard-normal
+    (rows x 2*bins) block, a row holding its trial's bins in order, real
+    then imaginary part, drawn in row chunks, each reduced at once to its
+    per-trial share of the H0 receiver output u0; then the amplitudes' real
+    and imaginary parts, alternating. The blocks are drawn on up to one
+    thread per usable CPU, and a seed gives the same bytes on any number
+    of CPUs, and the same ROC as drawing each block whole. Memory is
+    O(trials + workers*chunk).
     """
     trials, p_fa_grid = check_roc_params(trials, p_fa_grid)
-    rng = np.random.default_rng(as_int("seed", seed, 0))
+    seed = as_int("seed", seed, 0)
     d2 = detection_metric(esd, scenario)
     p_d = np.array([p for _, p in analytic_roc(d2, p_fa_grid)])
     p_fa_grid = np.asarray(p_fa_grid)
@@ -152,9 +202,8 @@ def monte_carlo_roc(
     # x0 = sqrt(T*denom/2)*Z (T: PSD -> Fourier-coefficient variance), so
     # u0 = x0 @ weight = Z @ (sqrt(T*denom/2)*weight)
     scale = np.sqrt(scenario.grid.duration * denom / 2.0)
-    u0 = _projected_draws(rng, scale * weight, trials)
-    amp_scale = np.sqrt(scenario.target_variance / 2.0)
-    amp = amp_scale * (rng.standard_normal(trials) + 1j * rng.standard_normal(trials))
+    u0, amp = _projected_draws(seed, scale * weight, trials)
+    amp *= np.sqrt(scenario.target_variance / 2.0)
 
     stat0 = np.abs(u0) ** 2
     stat1 = np.abs(amp * (s @ weight) + u0) ** 2

@@ -128,8 +128,10 @@ def solve_ofdm_coeffs(
 def support_halfwidth(target: OfdmTarget) -> int:
     """Smallest half-width kappa capturing (1 - SUPPORT_TOL) of the
     coefficient energy around DC: the first kappa at which the running
-    sum of c_0^2, then c_k^2 + c_-k^2 for k = 1..half_order, reaches it."""
-    power = target.c**2
+    sum of c_0^2, then c_k^2 + c_-k^2 for k = 1..half_order, reaches it.
+    c is first scaled by the power of two of its largest magnitude, which
+    is exact and keeps c^2 from overflowing or underflowing."""
+    power = np.ldexp(target.c, -np.frexp(np.abs(target.c).max())[1]) ** 2
     h = target.half_order
     rings = np.concatenate((power[h : h + 1], power[h + 1 :] + power[:h][::-1]))
     hit = np.cumsum(rings) >= (1.0 - SUPPORT_TOL) * power.sum()

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -92,17 +93,25 @@ class TestAnalyticRoc:
 def _full_array_roc(esd, scenario, trials, seed, p_fa_grid):
     """Reference: every (trials x bins) sample held at once, for the bin
     spectrum s = sqrt(ESD). Each bin's clutter plus noise h*s + n is one
-    CN(0, T*(P_h|s|^2 + P_n)) draw, whose real and imaginary parts
-    alternate along a (trials x 2*bins) block."""
-    rng = np.random.default_rng(seed)
+    CN(0, T*(P_h|s|^2 + P_n)) draw. Block b of ``_BLOCK_TRIALS`` trials
+    has its own stream default_rng(SeedSequence(seed, spawn_key=(b,))),
+    which gives a (rows x 2*bins) standard-normal block, real and
+    imaginary parts alternating, then the rows' amplitudes, real and
+    imaginary parts alternating."""
     s = np.sqrt(esd.values)
+    z_blocks, amp_blocks = [], []
+    for b, lo in enumerate(range(0, trials, detection._BLOCK_TRIALS)):
+        rows = min(detection._BLOCK_TRIALS, trials - lo)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        z_blocks.append(rng.standard_normal((rows, 2 * s.size)))
+        amp_blocks.append(rng.standard_normal((rows, 2)))
+    z, a = np.concatenate(z_blocks), np.concatenate(amp_blocks)
     T = scenario.grid.duration
     p_h, p_n = scenario.channel_psd.values, scenario.noise_psd.values
     weight = np.conj(s) / (p_h * np.abs(s) ** 2 + p_n)
-    z = rng.standard_normal((trials, 2 * s.size))
     z_re, z_im = z[:, 0::2], z[:, 1::2]
     x0 = np.sqrt(T * (p_h * np.abs(s) ** 2 + p_n) / 2.0) * (z_re + 1j * z_im)
-    amp = rng.standard_normal((trials, 1)) + 1j * rng.standard_normal((trials, 1))
+    amp = a[:, :1] + 1j * a[:, 1:]
     x1 = np.sqrt(scenario.target_variance / 2.0) * amp * s + x0
     stat0 = np.abs(x0 @ weight) ** 2
     stat1 = np.abs(x1 @ weight) ** 2
@@ -172,18 +181,64 @@ class TestMonteCarlo:
         assert mc.p_d_analytic.tolist() == want
 
     @pytest.mark.parametrize("band_width", [10.0, 100.0])
-    @pytest.mark.parametrize("trials", [3001, 20000, "chunk_multiple"])
+    @pytest.mark.parametrize("trials", [3001, 20000, "chunk_multiple", "block_multiple"])
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_full_array_reference(self, band_width, trials, seed):
         esd, sc = _colored_case(band_width)
         if trials == "chunk_multiple":
             trials = 3 * (detection._CHUNK_DOUBLES // sc.grid.num_bins)
+        elif trials == "block_multiple":
+            trials = 2 * detection._BLOCK_TRIALS
         p_fa_grid = (0.001, 0.01, 0.1, 0.5)
         mc = monte_carlo_roc(esd, sc, trials, seed, p_fa_grid)
         thresholds, p_fa, p_d = _full_array_roc(esd, sc, trials, seed, p_fa_grid)
         np.testing.assert_array_equal(mc.p_fa, p_fa)
         np.testing.assert_array_equal(mc.p_d, p_d)
         np.testing.assert_allclose(mc.thresholds, thresholds, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("band_width", [10.0, 100.0])
+    def test_same_roc_for_any_worker_count(self, band_width, monkeypatch):
+        # 3 workers with a short switch interval, so that a lost or
+        # misplaced write of one worker would show
+        esd, sc = _colored_case(band_width)
+        trials = 3 * detection._BLOCK_TRIALS + 1001
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 3):
+                monkeypatch.setattr(detection, "_usable_cpus", lambda cpus=cpus: cpus)
+                runs.append(monte_carlo_roc(esd, sc, trials, 6))
+        finally:
+            sys.setswitchinterval(interval)
+        one, three = runs
+        np.testing.assert_array_equal(one.thresholds, three.thresholds)
+        np.testing.assert_array_equal(one.p_fa, three.p_fa)
+        np.testing.assert_array_equal(one.p_d, three.p_d)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        draw_block = detection._draw_block
+
+        def failing(seed, block, *args):
+            if block == 2:
+                raise RuntimeError("block 2 failed")
+            draw_block(seed, block, *args)
+
+        monkeypatch.setattr(detection, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(detection, "_draw_block", failing)
+        esd, sc = _colored_case(10.0)
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            monte_carlo_roc(esd, sc, 4 * detection._BLOCK_TRIALS, 0)
+
+    @pytest.mark.parametrize("cpus, trials", [(1, 3 * detection._BLOCK_TRIALS), (4, 5000)])
+    def test_one_worker_starts_no_thread(self, cpus, trials, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(detection, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(detection.threading, "Thread", no_thread)
+        esd, sc = _colored_case(10.0)
+        assert monte_carlo_roc(esd, sc, trials, 0).trials == trials
 
     @pytest.mark.parametrize("band_width", [10.0, 100.0])
     @pytest.mark.parametrize("seed", range(5))

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,13 @@ class TestSupportHalfwidth:
         c = np.zeros(21)
         c[10 - 5 : 10 + 6] = 1.0
         assert support_halfwidth(OfdmTarget(c, 1.0)) == 5
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1.0])
+    def test_extreme_scales(self, scale):
+        # c**2 would overflow at 1e200 and underflow to 0 at 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert support_halfwidth(OfdmTarget(np.full(3, scale), 1.0)) == 1
 
     def test_matches_brute_force(self, notch_scenario):
         design = design_mi(notch_scenario)

@@ -28,8 +28,10 @@ from pathlib import Path
 
 
 def host() -> dict:
-    return {"cpus": os.cpu_count(), "machine": platform.machine(),
-            "python": platform.python_version()}
+    # roc_mc draws its trial blocks on every usable CPU, so its timings
+    # depend on the affinity mask as well as on the machine's CPU count
+    return {"cpus": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(), "python": platform.python_version()}
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
