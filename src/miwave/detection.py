@@ -101,7 +101,7 @@ def _draw_block(seed: int, block: int, coef, chunk, u0, amp) -> None:
     """Fill block ``block``'s slice of ``u0`` with Z @ coef, then that of
     ``amp`` with standard complex normals, from the block's own stream.
     Z[t, m] = N[t, 2m] + 1j*N[t, 2m+1] for a standard-normal
-    (rows x 2*bins) block N, drawn in row chunks into ``chunk``. A
+    (rows x 2*coef.size) block N, drawn in row chunks into ``chunk``. A
     generator fills sequentially, so the chunks hold one whole draw of N."""
     lo = block * _BLOCK_TRIALS
     hi = min(lo + _BLOCK_TRIALS, u0.size)
@@ -119,10 +119,10 @@ def _projected_draws(seed: int, coef, trials: int) -> tuple[np.ndarray, np.ndarr
     W = min(blocks, usable CPUs) workers. Worker w takes blocks w, w+W, ...
     with one chunk buffer; worker 0 is the calling thread, so W = 1 starts
     no thread. A worker's exception is raised once all have stopped. Chunk
-    rows depend only on the bin count, so the results do not depend on W.
-    The sums are einsum loops, not BLAS calls, so no BLAS thread pool
-    competes with the workers."""
-    rows = min(_BLOCK_TRIALS, max(1, _CHUNK_DOUBLES // (2 * coef.size)))
+    rows depend only on the weighted-bin count ``coef.size``, so the
+    results do not depend on W. The sums are einsum loops, not BLAS
+    calls, so no BLAS thread pool competes with the workers."""
+    rows = min(_BLOCK_TRIALS, max(1, _CHUNK_DOUBLES // (2 * max(1, coef.size))))
     u0 = np.empty(trials, dtype=complex)
     amp = np.empty(trials, dtype=complex)
     blocks = -(-trials // _BLOCK_TRIALS)
@@ -163,31 +163,32 @@ def monte_carlo_roc(
     P_n) strips the phase of s_m from the target term A*s_m, and leaves
     circular interference circular.
 
-    Each trial draws every bin's interference x0_m = h_m*s_m + n_m, the
-    clutter and noise the receiver sees in that bin. h_m and n_m are
-    independent circular Gaussians with variances P_h(f_m)*T and
-    P_n(f_m)*T (the Fourier coefficient of a stationary process over a
-    window of length T has variance PSD*T), so x0_m is exactly
-    CN(0, T*(P_h|s_m|^2 + P_n)) and is drawn as that one complex
-    Gaussian. Under H1 a fresh target amplitude A ~ CN(0, sigma_A^2)
-    adds A*s_m. The receiver weights each bin's sample, so the test
-    statistic is still simulated bin by bin rather than drawn from its
-    closed-form distribution. Thresholds are the empirical H0 quantiles
-    at the requested false-alarm rates, and the standard errors include
-    the noise of those quantiles (see :class:`MonteCarloRoc`).
+    Each trial draws the interference x0_m = h_m*s_m + n_m, the clutter
+    and noise the receiver sees in bin m, of each bin with a nonzero
+    weight: an empty bin's weight is exactly 0, so its draw would add
+    exactly 0 to the statistic. h_m and n_m are independent circular
+    Gaussians with variances P_h(f_m)*T and P_n(f_m)*T (the Fourier
+    coefficient of a stationary process over a window of length T has
+    variance PSD*T), so x0_m is exactly CN(0, T*(P_h|s_m|^2 + P_n)) and
+    is drawn as that one complex Gaussian. Under H1 a fresh target
+    amplitude A ~ CN(0, sigma_A^2) adds A*s_m. The receiver weights each
+    bin's sample, so the test statistic is still simulated bin by bin
+    rather than drawn from its closed-form distribution. Thresholds are
+    the empirical H0 quantiles at the requested false-alarm rates, and the
+    standard errors include their noise (see :class:`MonteCarloRoc`).
 
     The statistic is linear in the draws, so no (trials x bins) array is
     formed. The trials are split into blocks of ``_BLOCK_TRIALS``, and
     block b draws from its own stream
     ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, child b of
     ``SeedSequence(seed).spawn``: first a standard-normal
-    (rows x 2*bins) block, a row holding its trial's bins in order, real
-    then imaginary part, drawn in row chunks, each reduced at once to its
-    per-trial share of the H0 receiver output u0; then the amplitudes' real
-    and imaginary parts, alternating. The blocks are drawn on up to one
-    thread per usable CPU, and a seed gives the same bytes on any number
-    of CPUs, and the same ROC as drawing each block whole. Memory is
-    O(trials + workers*chunk).
+    (rows x 2*weighted bins) block, a row holding its trial's weighted
+    bins in order, real then imaginary part, drawn in row chunks, each
+    reduced at once to its per-trial share of the H0 receiver output u0;
+    then the amplitudes' real and imaginary parts, alternating. The
+    blocks are drawn on up to one thread per usable CPU, and a seed gives
+    the same bytes on any number of CPUs, and the same ROC as drawing
+    each block whole. Memory is O(trials + workers*chunk).
     """
     trials, p_fa_grid = check_roc_params(trials, p_fa_grid)
     seed = as_int("seed", seed, 0)
@@ -202,7 +203,8 @@ def monte_carlo_roc(
     # x0 = sqrt(T*denom/2)*Z (T: PSD -> Fourier-coefficient variance), so
     # u0 = x0 @ weight = Z @ (sqrt(T*denom/2)*weight)
     scale = np.sqrt(scenario.grid.duration * denom / 2.0)
-    u0, amp = _projected_draws(seed, scale * weight, trials)
+    coef = scale * weight
+    u0, amp = _projected_draws(seed, coef[coef != 0], trials)
     amp *= np.sqrt(scenario.target_variance / 2.0)
 
     stat0 = np.abs(u0) ** 2

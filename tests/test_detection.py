@@ -91,14 +91,20 @@ class TestAnalyticRoc:
 
 
 def _full_array_roc(esd, scenario, trials, seed, p_fa_grid):
-    """Reference: every (trials x bins) sample held at once, for the bin
-    spectrum s = sqrt(ESD). Each bin's clutter plus noise h*s + n is one
+    """Reference: every (trials x weighted bins) sample held at once, for
+    the bin spectrum s = sqrt(ESD). Only bins with a nonzero weight are
+    drawn. Each one's clutter plus noise h*s + n is one
     CN(0, T*(P_h|s|^2 + P_n)) draw. Block b of ``_BLOCK_TRIALS`` trials
     has its own stream default_rng(SeedSequence(seed, spawn_key=(b,))),
-    which gives a (rows x 2*bins) standard-normal block, real and
+    which gives a (rows x 2*weighted bins) standard-normal block, real and
     imaginary parts alternating, then the rows' amplitudes, real and
     imaginary parts alternating."""
+    T = scenario.grid.duration
+    p_h, p_n = scenario.channel_psd.values, scenario.noise_psd.values
     s = np.sqrt(esd.values)
+    weight = np.conj(s) / (p_h * np.abs(s) ** 2 + p_n)
+    weighted = weight != 0
+    s, weight, p_h, p_n = s[weighted], weight[weighted], p_h[weighted], p_n[weighted]
     z_blocks, amp_blocks = [], []
     for b, lo in enumerate(range(0, trials, detection._BLOCK_TRIALS)):
         rows = min(detection._BLOCK_TRIALS, trials - lo)
@@ -106,9 +112,6 @@ def _full_array_roc(esd, scenario, trials, seed, p_fa_grid):
         z_blocks.append(rng.standard_normal((rows, 2 * s.size)))
         amp_blocks.append(rng.standard_normal((rows, 2)))
     z, a = np.concatenate(z_blocks), np.concatenate(amp_blocks)
-    T = scenario.grid.duration
-    p_h, p_n = scenario.channel_psd.values, scenario.noise_psd.values
-    weight = np.conj(s) / (p_h * np.abs(s) ** 2 + p_n)
     z_re, z_im = z[:, 0::2], z[:, 1::2]
     x0 = np.sqrt(T * (p_h * np.abs(s) ** 2 + p_n) / 2.0) * (z_re + 1j * z_im)
     amp = a[:, :1] + 1j * a[:, 1:]
@@ -121,15 +124,29 @@ def _full_array_roc(esd, scenario, trials, seed, p_fa_grid):
     return thresholds, p_fa, p_d
 
 
-def _colored_case(band_width, duration=1.0):
-    # nonzero, bin-varying clutter and a bin-varying ESD
+def _colored_case(band_width, duration=1.0, sparse=False):
+    # nonzero, bin-varying clutter and a bin-varying ESD; a sparse ESD is
+    # zero on a seeded set of bins that holds DC and both band edges, as
+    # water-filling leaves the bins where interference is strongest empty
     grid = make_grid(band_width, duration)
-    rng = np.random.default_rng(grid.num_bins)
-    noise = SpectralDensity(grid, rng.uniform(0.2, 1.0, grid.num_bins))
-    clutter = SpectralDensity(grid, rng.uniform(0.1, 2.0, grid.num_bins))
+    n = grid.num_bins
+    rng = np.random.default_rng(n)
+    noise = SpectralDensity(grid, rng.uniform(0.2, 1.0, n))
+    clutter = SpectralDensity(grid, rng.uniform(0.1, 2.0, n))
     sc = Scenario(noise, clutter, 1.5, 1.0)
-    esd = SpectralDensity(grid, rng.uniform(0.0, 1.0, grid.num_bins) ** 2)
-    return esd, sc
+    values = rng.uniform(0.0, 1.0, n) ** 2
+    if sparse:
+        empty = np.r_[0, n // 2, n - 1, rng.choice(n, n // 2, replace=False)]
+        values[empty] = 0.0
+    return SpectralDensity(grid, values), sc
+
+
+# (band_width, sparse) for _colored_case; the dense cases keep their ids
+COLORED_CASES = pytest.mark.parametrize(
+    "band_width, sparse",
+    [(10.0, False), (100.0, False), (10.0, True), (100.0, True)],
+    ids=["10.0", "100.0", "10.0-sparse", "100.0-sparse"],
+)
 
 
 class TestMonteCarlo:
@@ -180,13 +197,14 @@ class TestMonteCarlo:
         want = [p for _, p in analytic_roc(detection_metric(esd, sc), p_fa_grid)]
         assert mc.p_d_analytic.tolist() == want
 
-    @pytest.mark.parametrize("band_width", [10.0, 100.0])
+    @COLORED_CASES
     @pytest.mark.parametrize("trials", [3001, 20000, "chunk_multiple", "block_multiple"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_equals_full_array_reference(self, band_width, trials, seed):
-        esd, sc = _colored_case(band_width)
+    def test_equals_full_array_reference(self, band_width, sparse, trials, seed):
+        esd, sc = _colored_case(band_width, sparse=sparse)
         if trials == "chunk_multiple":
-            trials = 3 * (detection._CHUNK_DOUBLES // sc.grid.num_bins)
+            # chunk rows hold _CHUNK_DOUBLES // (2*weighted bins) trials
+            trials = 3 * (detection._CHUNK_DOUBLES // np.count_nonzero(esd.values))
         elif trials == "block_multiple":
             trials = 2 * detection._BLOCK_TRIALS
         p_fa_grid = (0.001, 0.01, 0.1, 0.5)
@@ -196,11 +214,11 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(mc.p_d, p_d)
         np.testing.assert_allclose(mc.thresholds, thresholds, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("band_width", [10.0, 100.0])
-    def test_same_roc_for_any_worker_count(self, band_width, monkeypatch):
+    @COLORED_CASES
+    def test_same_roc_for_any_worker_count(self, band_width, sparse, monkeypatch):
         # 3 workers with a short switch interval, so that a lost or
         # misplaced write of one worker would show
-        esd, sc = _colored_case(band_width)
+        esd, sc = _colored_case(band_width, sparse=sparse)
         trials = 3 * detection._BLOCK_TRIALS + 1001
         runs = []
         interval = sys.getswitchinterval()
@@ -215,6 +233,41 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(one.thresholds, three.thresholds)
         np.testing.assert_array_equal(one.p_fa, three.p_fa)
         np.testing.assert_array_equal(one.p_d, three.p_d)
+
+    @pytest.mark.parametrize("active", [0, 1])
+    def test_esd_with_at_most_one_weighted_bin(self, active):
+        # an all-zero ESD draws no interference: every statistic is 0, so
+        # are the thresholds, and nothing lies above them
+        _, sc = _colored_case(10.0)
+        values = np.zeros(sc.grid.num_bins)
+        values[3 : 3 + active] = 0.7
+        esd = SpectralDensity(sc.grid, values)
+        p_fa_grid = (0.001, 0.01, 0.1, 0.5)
+        mc = monte_carlo_roc(esd, sc, 20000, 2, p_fa_grid)
+        thresholds, p_fa, p_d = _full_array_roc(esd, sc, 20000, 2, p_fa_grid)
+        np.testing.assert_array_equal(mc.p_fa, p_fa)
+        np.testing.assert_array_equal(mc.p_d, p_d)
+        np.testing.assert_allclose(mc.thresholds, thresholds, rtol=1e-12, atol=0)
+        if not active:
+            for column in (mc.thresholds, mc.p_fa, mc.p_d):
+                assert column.tolist() == [0.0] * len(p_fa_grid)
+
+    def test_empty_bins_interference_is_never_read(self):
+        # P_n and P_h of a bin the design leaves empty reach neither the
+        # statistic nor d^2, so rewriting them changes no byte
+        sc = load_config(CONFIG_DIR / "clutter_notch.yaml").scenario(2.0)
+        esd = design_mi(sc).esd
+        empty = esd.values == 0
+        assert 0 < np.count_nonzero(empty) < empty.size
+        rng = np.random.default_rng(11)
+        noise = np.where(empty, rng.uniform(5.0, 9.0, empty.size), sc.noise_psd.values)
+        clutter = np.where(empty, rng.uniform(0.01, 0.05, empty.size), sc.channel_psd.values)
+        other = Scenario(SpectralDensity(sc.grid, noise), SpectralDensity(sc.grid, clutter),
+                         sc.target_variance, sc.energy)
+        a = monte_carlo_roc(esd, sc, 20000, 4)
+        b = monte_carlo_roc(esd, other, 20000, 4)
+        for name in ("thresholds", "p_fa", "p_d", "p_d_analytic"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         draw_block = detection._draw_block

@@ -60,6 +60,9 @@ def main(argv=None) -> int:
     parser.add_argument("--traced-seed", type=int)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        # the quartiles of each side need two runs; refuse before running any
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
 
     sides = {"parent": args.parent, "change": args.change}
     pairs = []
