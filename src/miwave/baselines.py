@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mtsfm import envelope, rms_bandwidth
-from .spectral import FrequencyGrid, SpectralDensity, finite_nonnegative, finite_positive
+from .mtsfm import envelope, rms_bandwidth, unit_envelope
+from .spectral import (
+    FrequencyGrid, SpectralDensity, finite_nonnegative, finite_positive, read_only,
+)
 
 __all__ = ["LfmWaveform", "lfm_time_series", "lfm_esd", "match_rms_bandwidth"]
 
@@ -28,36 +31,51 @@ class LfmWaveform:
         finite_nonnegative("sweep_bandwidth", self.sweep_bandwidth)
 
 
+def _chirp_phase(duration: float, sweep_bandwidth: float):
+    """The chirp's even phase pi*B*t^2/T as a function of t."""
+    return lambda t: np.pi * sweep_bandwidth * t**2 / duration
+
+
 def lfm_time_series(w: LfmWaveform, sample_rate: float):
     """Constant-modulus chirp samples; phase pi*B*t^2/T."""
     guard = 2.0 * max(w.sweep_bandwidth, 1.0 / w.duration)
     return envelope(
         w.duration, w.energy, sample_rate, guard,
-        lambda t: np.pi * w.sweep_bandwidth * t**2 / w.duration,
+        _chirp_phase(w.duration, w.sweep_bandwidth),
     )
 
 
-def lfm_esd(w: LfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
-    """Chirp ESD on the bin grid, rescaled to integrate to E.
+def _chirp_power(duration: float, sweep_bandwidth: float, grid: FrequencyGrid) -> np.ndarray:
+    """|DFT|^2 at the grid's bins of the unit-amplitude chirp on the power
+    of two n >= 8*max(M, B*T + 1) nodes of one duration T: 8x oversampled,
+    and its DFT bins are the grid's m/T, so no rebinning is needed.
+    Magnitudes only, so the (-1)^m phase of the -T/2 origin is not applied."""
+    n_min = 8 * max(grid.num_bins, int(np.ceil(sweep_bandwidth * duration)) + 1)
+    n = 1 << int(np.ceil(np.log2(n_min)))
+    _, x = unit_envelope(duration, n, _chirp_phase(duration, sweep_bandwidth))
+    return np.abs(np.fft.fft(x)[grid.bin_indices % n]) ** 2
 
-    The DFT of samples spanning exactly one duration T lands on the
-    grid's bin frequencies m/T directly, so no rebinning is needed. The
-    8x oversampled rate, at least 8*(B + 1/T), clears the Nyquist guard
-    of :func:`lfm_time_series`. Rescaling folds the chirp's out-of-band
+
+@functools.lru_cache(maxsize=8)
+def _full_band_power(duration: float, grid: FrequencyGrid) -> np.ndarray:
+    """:func:`_chirp_power` of the full-band sweep B = W, which every match
+    and clamped comparator on a grid asks for: kept, so shared read-only."""
+    return read_only(_chirp_power(duration, grid.band_width, grid))
+
+
+def lfm_esd(w: LfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
+    """Chirp ESD on the bin grid: the on-grid power at unit amplitude,
+    rescaled to integrate to E; the full-band sweep's power is computed
+    once per duration and grid. Rescaling folds the chirp's out-of-band
     energy (0.0001 to 0.017 of E for the shipped configs' matched chirps)
     into the band; :func:`~miwave.mtsfm.esd_on_grid` keeps only in-band energy.
     """
     if not math.isclose(grid.duration, w.duration, rel_tol=1e-12):
         raise ValueError("grid spacing must equal 1/T of the waveform")
-    n_min = 8 * max(
-        grid.num_bins, int(np.ceil(w.sweep_bandwidth * w.duration)) + 1
-    )
-    n = 1 << int(np.ceil(np.log2(n_min)))
-    _, x = lfm_time_series(w, n / w.duration)
-    spec = np.fft.fft(x) * (w.duration / n)
-    m = grid.bin_indices
-    # magnitudes only, so the (-1)^m phase of the -T/2 time origin is not applied
-    values = np.abs(spec[m % n]) ** 2
+    if w.sweep_bandwidth == grid.band_width:
+        values = _full_band_power(w.duration, grid)
+    else:
+        values = _chirp_power(w.duration, w.sweep_bandwidth, grid)
     total = values.sum() * grid.spacing
     if total == 0:
         raise ValueError("degenerate chirp spectrum")
@@ -74,9 +92,11 @@ def match_rms_bandwidth(
 
     Scalar root-find over B, bracketed by the whole band [0, W]. The
     lower end costs no chirp spectrum: the B = 0 chirp is a DC tone of
-    RMS bandwidth 0. Targets above the full-band sweep's RMS bandwidth
-    are unreachable (the chirp's soft spectral edges cap the second
-    moment); they clamp to the full-band sweep B = W with a warning.
+    RMS bandwidth 0. The upper end's, the full-band sweep's, is one per
+    grid, which :func:`lfm_esd` keeps for every match on that grid.
+    Targets above the full-band sweep's RMS bandwidth are unreachable
+    (the chirp's soft spectral edges cap the second moment); they clamp
+    to the full-band sweep B = W with a warning.
     Otherwise the search starts at the flat-spectrum estimate
     B = sqrt(12)*beta_rms/(2*pi) and takes Illinois steps (Dowell and
     Jarratt, BIT 1971), safeguarded regula falsi, until a step is at

@@ -114,9 +114,12 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    # libyaml's safe loader where PyYAML was built with it: the same
+    # mapping from a config, in about a seventh of the time
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as exc:
             raise ValueError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):

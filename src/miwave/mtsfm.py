@@ -108,20 +108,40 @@ def max_instantaneous_freq(w: MtsfmWaveform) -> float:
     return w.index_weight / w.duration
 
 
+def _mirrored(half: np.ndarray, n: int) -> np.ndarray:
+    """n samples of an even phase from those of nodes 0..n//2 (last axis),
+    on nodes with t_{n-i} == -t_i: node n - i takes node i's sample."""
+    return np.concatenate((half, half[..., n - half.shape[-1]:0:-1]), axis=-1)
+
+
+def unit_envelope(duration: float, n: int, phase_of):
+    """``(t, exp(j*phase_of(t)))`` at the n >= 2 nodes t_i = (i - n/2)*(T/n),
+    t_0 = -T/2, of [-T/2, T/2), for an even ``phase_of``. The product form
+    gives t_{n-i} == -t_i bit for bit, so ``phase_of`` is called on nodes
+    0..n//2 only and the rest are mirrored. At T = 1 and n a power of two,
+    t_i = -1/2 + i/n exactly."""
+    t = (np.arange(n) - n / 2.0) * (duration / n)
+    t[0] = -duration / 2.0  # the product may round past -T/2
+    return t, _mirrored(np.exp(1j * phase_of(t[: n // 2 + 1])), n)
+
+
 def envelope(duration, energy, sample_rate, guard, phase_of):
     """Constant-modulus samples sqrt(E/T)*exp(j*phase_of(t)) at the
-    n = max(round(rate*T), 2) nodes t = -T/2 + i*T/n of [-T/2, T/2).
+    n = max(round(rate*T), 2) nodes of :func:`unit_envelope`.
 
-    Returns ``(t, samples)``. ValueError unless the rate is finite,
-    positive and at least ``guard``, the caller's Nyquist guard in Hz.
+    ``phase_of`` must be even, phase_of(-t) == phase_of(t) bit for bit,
+    as the chirp's pi*B*t^2/T and the MTSFM's -sum_k beta_k cos(2*pi*k*t/T)
+    are: it is evaluated on half the nodes. Returns ``(t, samples)``.
+    ValueError unless the rate is finite, positive and at least
+    ``guard``, the caller's Nyquist guard in Hz.
     """
     if finite_positive("sample_rate", sample_rate) < guard:
         raise ValueError(
             f"sample_rate {sample_rate:.3g} Hz below Nyquist guard {guard:.3g} Hz"
         )
     n = max(int(round(sample_rate * duration)), 2)
-    t = -duration / 2.0 + np.arange(n) * (duration / n)
-    return t, np.sqrt(energy / duration) * np.exp(1j * phase_of(t))
+    t, x = unit_envelope(duration, n, phase_of)
+    return t, np.sqrt(energy / duration) * x
 
 
 def time_series(w: MtsfmWaveform, sample_rate: float):
@@ -166,8 +186,11 @@ def _samples(beta: np.ndarray, n: int) -> np.ndarray:
     """exp(j*phi) at the n nodes -1/2 + i/n, shape (S, n), for a finite
     (S, K) float batch ``beta``, unchecked. The phase sum is the
     :func:`_phase_sum` of :func:`phase`, so each row is bit-for-bit
-    exp(j*phase) at T = 1, whatever the other rows."""
-    return np.exp(1j * _phase_sum(_phase_table(beta.shape[1], n), beta))
+    exp(j*phase) at T = 1, whatever the other rows. Rows i and n - i of
+    the phase table are equal, as the cosines are even, so only nodes
+    0..n/2 are summed and the rest mirrored."""
+    table = _phase_table(beta.shape[1], n)[: n // 2 + 1]
+    return _mirrored(np.exp(1j * _phase_sum(table, beta)), n)
 
 
 def raw_coefficients(beta: np.ndarray, order_bound: int) -> np.ndarray:

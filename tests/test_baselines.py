@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -14,6 +17,9 @@ from miwave import (
     rms_bandwidth,
 )
 from miwave import baselines
+from miwave.experiment import load_config, run_experiment
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestLfmTimeSeries:
@@ -131,6 +137,69 @@ class TestMatchRmsBandwidth:
             w = match_rms_bandwidth(target, sc.grid.duration, 2.0, sc.grid)
             d2_lfm = detection_metric(lfm_esd(w, sc.grid), sc)
             assert d2_lfm <= d2_star + 1e-9
+
+
+class TestFullBandMemo:
+    """The full-band sweep B = W's on-grid power is computed once per
+    duration and grid, and shared read-only."""
+
+    def test_one_full_band_spectrum_per_design_sweep(self, monkeypatch, tmp_path):
+        config = dataclasses.replace(
+            load_config(CONFIG_DIR / "clutter_peak.yaml"),
+            energy_list=tuple(float(e) for e in np.geomspace(0.25, 16.0, 16)),
+            out_dir=str(tmp_path),
+        )
+        full, other = [], []
+        chirp_power = baselines._chirp_power
+
+        def counted(duration, sweep_bandwidth, grid):
+            (full if sweep_bandwidth == grid.band_width else other).append(sweep_bandwidth)
+            return chirp_power(duration, sweep_bandwidth, grid)
+
+        monkeypatch.setattr(baselines, "_chirp_power", counted)
+        esds = _spectra(monkeypatch)
+        baselines._full_band_power.cache_clear()
+        records = run_experiment(config, design_only=True)
+        clamped = sum(r["lfm_sweep_bandwidth"] == config.band_width for r in records)
+        # every match evaluates B = W first, and each clamped energy's
+        # comparator ESD is the B = W one again
+        assert esds.count(config.band_width) == 16
+        assert 0 < clamped < 16
+        assert full == [config.band_width]
+        # the other spectra: the interior root-find steps, then the
+        # comparator ESD of each energy that did not clamp
+        assert len(other) == (len(esds) - 16) + (16 - clamped)
+
+    @pytest.mark.parametrize("band_width, duration", [(20.0, 1.0), (20.0, 0.7), (100.0, 2.5)])
+    def test_equals_uncached_computation(self, band_width, duration):
+        grid = make_grid(band_width, duration)
+        w = LfmWaveform(duration, 3.0, grid.band_width)
+        # at E = T the chirp's amplitude sqrt(E/T) is exactly 1
+        n = 1 << int(np.ceil(np.log2(8 * (grid.num_bins + 1))))
+        _, x = lfm_time_series(LfmWaveform(duration, duration, grid.band_width), n / duration)
+        power = np.abs(np.fft.fft(x)[grid.bin_indices % n]) ** 2
+        want = power * (3.0 / (power.sum() * grid.spacing))
+        baselines._full_band_power.cache_clear()
+        got = [lfm_esd(w, grid).values, lfm_esd(w, grid).values]  # computed, then kept
+        for other in np.arange(4.0, 44.0, 4.0):  # more grids than the cache holds
+            lfm_esd(LfmWaveform(3.0, 1.0, other), make_grid(other, 3.0))
+        got.append(lfm_esd(w, grid).values)  # computed again after its eviction
+        for values in got:
+            np.testing.assert_allclose(values, want, rtol=1e-15, atol=0)
+
+    def test_writing_a_returned_esd_leaves_the_next_call(self):
+        grid = make_grid(20.0, 1.0)
+        w = LfmWaveform(1.0, 2.0, grid.band_width)
+        first = lfm_esd(w, grid)
+        want = first.values.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            first.values[0] = 0.0
+        # the ESD holds its own copy, which its owner may make writable
+        first.values.flags.writeable = True
+        first.values[:] = -1.0
+        assert lfm_esd(w, grid).values.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            baselines._full_band_power(1.0, grid)[0] = 0.0
 
 
 class TestBrentq:

@@ -70,6 +70,33 @@ class TestConfig:
         dump_config(cfg, path)
         assert load_config(path) == cfg
 
+    @pytest.mark.parametrize("libyaml", [
+        False,
+        pytest.param(True, marks=pytest.mark.skipif(
+            not yaml.__with_libyaml__, reason="PyYAML built without libyaml")),
+    ])
+    def test_either_yaml_loader_reads_alike(self, tmp_path, monkeypatch, capsys, libyaml):
+        # load_config takes libyaml's loader where PyYAML has it
+        smoke = tmp_path / "smoke.yaml"
+        dump_config(smoke_config(tmp_path / "out"), smoke)
+        paths = (CONFIG_DIR / "clutter_notch.yaml", CONFIG_DIR / "clutter_peak.yaml", smoke)
+        want = [ExperimentConfig.from_dict(yaml.safe_load(p.read_text())) for p in paths]
+        used = []
+        yaml_load = yaml.load
+
+        def load(stream, Loader):
+            used.append(Loader)
+            return yaml_load(stream, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+        monkeypatch.setattr(yaml, "load", load)
+        assert [load_config(p) for p in paths] == want
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("noise_kind: [unclosed\n")
+        assert main(["design", "--config", str(bad)]) == EXIT_CONFIG
+        assert "bad.yaml is not valid YAML" in capsys.readouterr().err
+        assert used == [yaml.CSafeLoader if libyaml else yaml.SafeLoader] * 4
+
     def test_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "bad.yaml"
         cfg = smoke_config(tmp_path / "out")

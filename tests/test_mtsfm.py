@@ -3,10 +3,12 @@ import pytest
 from scipy.special import jv
 
 from miwave import (
+    LfmWaveform,
     MtsfmWaveform,
     coefficients,
     esd_on_grid,
     integrate,
+    lfm_time_series,
     make_grid,
     rms_bandwidth,
     spectrum,
@@ -68,6 +70,27 @@ class TestTimeSeries:
         w = MtsfmWaveform(1.0, 1.0, (5.0, 5.0))
         with pytest.raises(ValueError, match="Nyquist"):
             time_series(w, 8.0)
+
+    @pytest.mark.parametrize("duration", [1.0, 0.7])
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("kind", ["lfm", "mtsfm"])
+    def test_mirrored_nodes_and_samples_are_exact(self, kind, n, duration):
+        # envelope evaluates the even phase on half the nodes and mirrors
+        # the rest, which is exact only if t_{n-i} == -t_i bit for bit
+        energy = 2.5
+        if kind == "lfm":
+            b = 6.0
+            t, x = lfm_time_series(LfmWaveform(duration, energy, b), n / duration)
+            phi = np.pi * b * t**2 / duration
+        else:
+            w = MtsfmWaveform(duration, energy, (0.8, -0.3, 0.45))
+            t, x = time_series(w, n / duration)
+            phi = phase(w, t)
+        assert t.size == n and t[0] == -duration / 2.0
+        assert np.array_equal(t[1:], -t[:0:-1])
+        nodes = -duration / 2.0 + np.arange(n) * (duration / n)
+        np.testing.assert_allclose(t, nodes, rtol=0, atol=4e-16 * duration)
+        assert x.tobytes() == (np.sqrt(energy / duration) * np.exp(1j * phi)).tobytes()
 
 
 class TestCoefficients:
@@ -147,6 +170,14 @@ class TestCoefficients:
         beta = np.array([w.mod_indices])
         got = mtsfm.raw_coefficients(beta, order_bound)[0]
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 1024])
+    @pytest.mark.parametrize("rows", [1, 18, 300])
+    def test_half_node_samples_equal_full_table(self, n, rows):
+        # _samples sums the phase on nodes 0..n/2 and mirrors the rest
+        beta = np.random.default_rng(n + rows).uniform(-3.0, 3.0, (rows, 8))
+        full = np.exp(1j * mtsfm._phase_sum(mtsfm._phase_table(8, n), beta))
+        assert mtsfm._samples(beta, n).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("k_harm", [1, 8, 32])
     def test_quadrature_matches_dense_reference(self, k_harm):

@@ -12,6 +12,8 @@ strings on both sides (the config hash in ``summary.json`` covers
 
 - ``design``, ``fit --starts 6`` and ``roc --trials 20000`` on both shipped
   configs;
+- ``design`` on the shipped notch config at ``duration`` 0.7, whose time
+  nodes are not dyadic;
 - the seed-0 ``design_sweep`` and ``roc_mc`` jobs of the checkout's
   ``bench/workloads.make_jobs``: ``design`` on four generated configs,
   and ``roc --trials 100000 --energy`` on the notch config at 21 and
@@ -41,10 +43,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 SHIPPED = ("clutter_notch", "clutter_peak")
 FIT_STARTS = "6"
 ROC_TRIALS = "20000"
 REPORTED = "out/clutter_notch/fit/fit_E2.csv"
+# a duration whose sample times (i - n/2)*(T/n) are not dyadic, so that a
+# change moving them, or their mirror, by an ulp shows in the chirp's outputs
+NON_DYADIC = "clutter_notch_T0.7"
 
 
 BENCH_JOBS = ("design_sweep", "roc_mc")
@@ -84,6 +91,10 @@ def matrix(checkout: Path, root: Path) -> list:
             ("fit", "--config", cfg, "--starts", FIT_STARTS, "--out", f"{out}/fit"),
             ("roc", "--config", cfg, "--trials", ROC_TRIALS, "--out", f"{out}/roc"),
         ]
+    notch = yaml.safe_load((root / "configs" / f"{SHIPPED[0]}.yaml").read_text())
+    (root / "configs" / f"{NON_DYADIC}.yaml").write_text(yaml.safe_dump(dict(notch, duration=0.7)))
+    calls.append(("design", "--config", f"configs/{NON_DYADIC}.yaml",
+                  "--out", f"out/{NON_DYADIC}/design"))
     return calls + _bench_jobs(checkout, root) + [("report", REPORTED)]
 
 
