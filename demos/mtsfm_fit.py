@@ -53,7 +53,10 @@ print(f"fit ESD captures {integrate(mtsfm_esd) / scenario.energy:.4f} "
 
 beta_rms = rms_bandwidth(design.esd, scenario.energy)
 chirp = match_rms_bandwidth(beta_rms, 1.0, scenario.energy, grid)
-d2_lfm = detection_metric(lfm_esd(chirp, grid), scenario)
+chirp_esd = lfm_esd(chirp, grid)
+print(f"chirp ESD captures {integrate(chirp_esd) / scenario.energy:.4f} "
+      "of the energy in band")
+d2_lfm = detection_metric(chirp_esd, scenario)
 print(f"matched LFM (B = {chirp.sweep_bandwidth:.2f} Hz): d^2 = {d2_lfm:.4f}")
 
 better = sum(r.d_squared_achieved > d2_lfm for r in results)

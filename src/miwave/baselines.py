@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mtsfm import envelope, rms_bandwidth, unit_envelope
+from .mtsfm import _esd_scale, envelope, rms_bandwidth, unit_envelope
 from .spectral import (
     FrequencyGrid, SpectralDensity, finite_nonnegative, finite_positive, read_only,
 )
@@ -46,14 +46,14 @@ def lfm_time_series(w: LfmWaveform, sample_rate: float):
 
 
 def _chirp_power(duration: float, sweep_bandwidth: float, grid: FrequencyGrid) -> np.ndarray:
-    """|DFT|^2 at the grid's bins of the unit-amplitude chirp on the power
-    of two n >= 8*max(M, B*T + 1) nodes of one duration T: 8x oversampled,
-    and its DFT bins are the grid's m/T, so no rebinning is needed.
-    Magnitudes only, so the (-1)^m phase of the -T/2 origin is not applied."""
+    """Coefficient power |X_m/n|^2 at the grid's bins of the unit-modulus
+    chirp, X the DFT on the power of two n >= 8*max(M, B*T + 1) nodes of
+    one duration T: 8x oversampled, its bins the grid's m/T, so no rebinning
+    is needed. Magnitudes only: the (-1)^m phase of the -T/2 origin is unused."""
     n_min = 8 * max(grid.num_bins, int(np.ceil(sweep_bandwidth * duration)) + 1)
     n = 1 << int(np.ceil(np.log2(n_min)))
     _, x = unit_envelope(duration, n, _chirp_phase(duration, sweep_bandwidth))
-    return np.abs(np.fft.fft(x)[grid.bin_indices % n]) ** 2
+    return np.abs(np.fft.fft(x)[grid.bin_indices % n] / n) ** 2
 
 
 @functools.lru_cache(maxsize=8)
@@ -64,22 +64,16 @@ def _full_band_power(duration: float, grid: FrequencyGrid) -> np.ndarray:
 
 
 def lfm_esd(w: LfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
-    """Chirp ESD on the bin grid: the on-grid power at unit amplitude,
-    rescaled to integrate to E; the full-band sweep's power is computed
-    once per duration and grid. Rescaling folds the chirp's out-of-band
-    energy (0.0001 to 0.017 of E for the shipped configs' matched chirps)
-    into the band; :func:`~miwave.mtsfm.esd_on_grid` keeps only in-band energy.
-    """
-    if not math.isclose(grid.duration, w.duration, rel_tol=1e-12):
-        raise ValueError("grid spacing must equal 1/T of the waveform")
+    """Chirp ESD on the bin grid, E*T*|c_m|^2 at f = m/T by the rule of
+    :func:`~miwave.mtsfm.esd_on_grid`: energy beyond the outermost bin is
+    left out (up to 0.018 of E for the shipped configs' matched chirps).
+    The full-band sweep's power is computed once per duration and grid."""
+    scale = _esd_scale(w, grid)
     if w.sweep_bandwidth == grid.band_width:
-        values = _full_band_power(w.duration, grid)
+        power = _full_band_power(w.duration, grid)
     else:
-        values = _chirp_power(w.duration, w.sweep_bandwidth, grid)
-    total = values.sum() * grid.spacing
-    if total == 0:
-        raise ValueError("degenerate chirp spectrum")
-    return SpectralDensity(grid, values * (w.energy / total))
+        power = _chirp_power(w.duration, w.sweep_bandwidth, grid)
+    return SpectralDensity(grid, scale * power)
 
 
 def match_rms_bandwidth(
@@ -94,9 +88,9 @@ def match_rms_bandwidth(
     lower end costs no chirp spectrum: the B = 0 chirp is a DC tone of
     RMS bandwidth 0. The upper end's, the full-band sweep's, is one per
     grid, which :func:`lfm_esd` keeps for every match on that grid.
-    Targets above the full-band sweep's RMS bandwidth are unreachable
-    (the chirp's soft spectral edges cap the second moment); they clamp
-    to the full-band sweep B = W with a warning.
+    Targets above the RMS bandwidth of the full-band sweep's in-band
+    ESD are unreachable (the chirp's soft spectral edges cap the second
+    moment); they clamp to the full-band sweep B = W with a warning.
     Otherwise the search starts at the flat-spectrum estimate
     B = sqrt(12)*beta_rms/(2*pi) and takes Illinois steps (Dowell and
     Jarratt, BIT 1971), safeguarded regula falsi, until a step is at

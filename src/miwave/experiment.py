@@ -231,7 +231,7 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
         )
         fits[energy] = results
         best = results[0]
-        best_wave = MtsfmWaveform(config.duration, energy, best.beta)
+        best_wave = MtsfmWaveform(config.duration, target.energy, best.beta)
         mtsfm_esds[energy] = esd_on_grid(best_wave, grid)
         record["d2_box"] = summarize_boxplot([r.d_squared_achieved for r in results])
         record["best_start_index"] = best.start_index

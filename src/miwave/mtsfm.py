@@ -240,6 +240,13 @@ def spectrum(w: MtsfmWaveform, f) -> np.ndarray | complex:
     return out if np.ndim(f) else complex(out[0])
 
 
+def _esd_scale(w, grid: FrequencyGrid) -> float:
+    """E*T, once the grid's bins are checked to be the waveform's m/T."""
+    if not math.isclose(grid.duration, w.duration, rel_tol=1e-12):
+        raise ValueError("grid spacing must equal 1/T of the waveform")
+    return w.energy * w.duration
+
+
 def esd_on_grid(w: MtsfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
     """ESD sampled at the grid bins: E*T*|c_m|^2 at f = m/T.
 
@@ -247,9 +254,7 @@ def esd_on_grid(w: MtsfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
     the on-grid ESD is exact. Energy beyond the grid's outermost bin is
     the out-of-band tail and simply missing from the integral.
     """
-    if not math.isclose(grid.duration, w.duration, rel_tol=1e-12):
-        raise ValueError("grid spacing must equal 1/T of the waveform")
-    power = w.energy * w.duration * np.abs(coefficients(w)) ** 2
+    power = _esd_scale(w, grid) * np.abs(coefficients(w)) ** 2
     return SpectralDensity(grid, recentre(power, grid.half_order))
 
 

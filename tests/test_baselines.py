@@ -7,8 +7,10 @@ from scipy.optimize import brentq
 
 from miwave import (
     LfmWaveform,
+    MtsfmWaveform,
     design_mi,
     detection_metric,
+    esd_on_grid,
     integrate,
     lfm_esd,
     lfm_time_series,
@@ -53,10 +55,25 @@ class TestLfmEsd:
         assert np.argmax(esd.values) == grid.half_order
         assert esd.values[grid.half_order] >= 0.99 * esd.values.sum()
 
-    def test_normalized_to_energy(self):
+    def test_keeps_only_in_band_energy(self):
         grid = make_grid(20.0, 1.0)
         esd = lfm_esd(LfmWaveform(1.0, 4.0, 15.0), grid)
-        assert integrate(esd) == pytest.approx(4.0, rel=1e-9)
+        # E*T*sum |X_m/n|^2 over the grid's bins, from unit-modulus samples
+        # on the n nodes the comparator uses: 8*max(21, 16) rounded up to 256
+        n = 256
+        _, x = lfm_time_series(LfmWaveform(1.0, 1.0, 15.0), float(n))
+        in_band = np.sum(np.abs(np.fft.fft(x)[grid.bin_indices % n] / n) ** 2)
+        assert integrate(esd) < 4.0
+        assert integrate(esd) == pytest.approx(4.0 * in_band * grid.spacing, rel=1e-12)
+
+    @pytest.mark.parametrize("band_width, duration", [(20.0, 1.0), (20.0, 0.7), (100.0, 2.5)])
+    def test_dc_chirp_is_the_dc_mtsfm(self, band_width, duration):
+        # both grid ESDs are E*T*|c_m|^2, and the B = 0 chirp and the
+        # MTSFM of zero modulation are the same DC tone
+        grid = make_grid(band_width, duration)
+        chirp = lfm_esd(LfmWaveform(duration, 3.0, 0.0), grid)
+        tone = esd_on_grid(MtsfmWaveform(duration, 3.0, (0.0,)), grid)
+        assert chirp.values.tobytes() == tone.values.tobytes()
 
     def test_large_tb_flat_within_sweep(self):
         # BT = 100: in-band ripple stays within about +/-1.5 dB
@@ -140,7 +157,7 @@ class TestMatchRmsBandwidth:
 
 
 class TestFullBandMemo:
-    """The full-band sweep B = W's on-grid power is computed once per
+    """The full-band sweep B = W's coefficient power is computed once per
     duration and grid, and shared read-only."""
 
     def test_one_full_band_spectrum_per_design_sweep(self, monkeypatch, tmp_path):
@@ -177,8 +194,7 @@ class TestFullBandMemo:
         # at E = T the chirp's amplitude sqrt(E/T) is exactly 1
         n = 1 << int(np.ceil(np.log2(8 * (grid.num_bins + 1))))
         _, x = lfm_time_series(LfmWaveform(duration, duration, grid.band_width), n / duration)
-        power = np.abs(np.fft.fft(x)[grid.bin_indices % n]) ** 2
-        want = power * (3.0 / (power.sum() * grid.spacing))
+        want = 3.0 * duration * np.abs(np.fft.fft(x)[grid.bin_indices % n] / n) ** 2
         baselines._full_band_power.cache_clear()
         got = [lfm_esd(w, grid).values, lfm_esd(w, grid).values]  # computed, then kept
         for other in np.arange(4.0, 44.0, 4.0):  # more grids than the cache holds

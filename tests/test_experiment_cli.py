@@ -305,6 +305,27 @@ class TestRunExperiment:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("name", ["clutter_notch", "clutter_peak"])
+    def test_esd_table_holds_the_scored_mtsfm_esd(self, monkeypatch, tmp_path, name):
+        # fit scores each start at the design's achieved energy; the best
+        # start's ESD in esd_table.csv is the one that scored best_d2
+        written = {}
+        emit = miwave.experiment.emit_esd_table
+
+        def captured(path, grid, noise, clutter, mi_esds, mtsfm_esds):
+            written.update(mtsfm_esds)
+            emit(path, grid, noise, clutter, mi_esds, mtsfm_esds)
+
+        monkeypatch.setattr(miwave.experiment, "emit_esd_table", captured)
+        cfg = dataclasses.replace(
+            load_config(CONFIG_DIR / f"{name}.yaml"), n_starts=6, out_dir=str(tmp_path),
+        )
+        records = run_experiment(cfg)
+        assert sorted(written) == sorted(cfg.energy_list)
+        for rec in records:
+            esd = written[rec["energy"]]
+            assert detection_metric(esd, cfg.scenario(rec["energy"])) == rec["best_d2"]
+
     def test_summary_names_best_start(self, tmp_path):
         cfg = smoke_config(tmp_path / "out")
         records = run_experiment(cfg)
