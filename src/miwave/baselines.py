@@ -37,12 +37,10 @@ def _chirp_phase(duration: float, sweep_bandwidth: float):
 
 
 def lfm_time_series(w: LfmWaveform, sample_rate: float):
-    """Constant-modulus chirp samples; phase pi*B*t^2/T."""
-    guard = 2.0 * max(w.sweep_bandwidth, 1.0 / w.duration)
-    return envelope(
-        w.duration, w.energy, sample_rate, guard,
-        _chirp_phase(w.duration, w.sweep_bandwidth),
-    )
+    """Constant-modulus chirp samples; phase pi*B*t^2/T, and :func:`envelope`
+    guards the rate on the sweep bandwidth B."""
+    phase_of = _chirp_phase(w.duration, w.sweep_bandwidth)
+    return envelope(w.duration, w.energy, sample_rate, w.sweep_bandwidth, phase_of)
 
 
 def _chirp_power(duration: float, sweep_bandwidth: float, grid: FrequencyGrid) -> np.ndarray:

@@ -150,10 +150,10 @@ def objective_and_gradient(
     every target order fits, and X = fft(x), bin j's residual is
     r_j = E*|X_j|^2/n^2 minus the target power c_tgt,m^2 of the order m
     at bin j = m mod n, if any. F = sum_j r_j^2 runs over all n bins:
-    orders past the target's are misfit, and those of a row whose index
-    weight sum_k k*|beta_k| nears n/2 wrap around. The gradient is exact,
-    in the adjoint form of phase retrieval (Candes, Li and Soltanolkotabi,
-    "Phase retrieval via Wirtinger flow", IEEE Trans. IT 2015):
+    orders past the target's are misfit, and a row whose lines reach near
+    n/2, at about w + K orders for w = sum_k k*|beta_k|, wraps around. The
+    gradient is exact, in the adjoint form of phase retrieval (Candes, Li
+    and Soltanolkotabi, "Phase retrieval via Wirtinger flow", IEEE Trans. IT 2015):
     dF/d beta_k = (4E/n) sum_i cos(2*pi*k*t_i) Im(x_i conj(R_i)), with
     R = ifft(r X).
     """

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    FrequencyGrid, SpectralDensity, finite_positive, finite_real, read_only, recentre,
+    FrequencyGrid, SpectralDensity, finite_nonnegative, finite_positive, finite_real,
+    read_only, recentre,
 )
 
 __all__ = [
@@ -67,8 +68,9 @@ class MtsfmWaveform:
 
     @property
     def index_weight(self) -> float:
-        """sum_k k*|beta_k|: bounds the instantaneous-frequency excursion
-        (in units of 1/T) and hence the coefficient support."""
+        """w = sum_k k*|beta_k|: bounds the instantaneous-frequency excursion
+        in units of 1/T. The spectrum reaches about w + K orders (Carson's
+        rule), as harmonic k puts J_1(beta_k) at +-k/T however small."""
         return float(
             sum((k + 1) * abs(b) for k, b in enumerate(self.mod_indices))
         )
@@ -102,12 +104,6 @@ def phase(w: MtsfmWaveform, t) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def max_instantaneous_freq(w: MtsfmWaveform) -> float:
-    """Upper bound sum_k k*|beta_k|/T, in Hz, on the instantaneous
-    frequency |phi'(t)|/(2*pi)."""
-    return w.index_weight / w.duration
-
-
 def _mirrored(half: np.ndarray, n: int) -> np.ndarray:
     """n samples of an even phase from those of nodes 0..n//2 (last axis),
     on nodes with t_{n-i} == -t_i: node n - i takes node i's sample."""
@@ -125,16 +121,17 @@ def unit_envelope(duration: float, n: int, phase_of):
     return t, _mirrored(np.exp(1j * phase_of(t[: n // 2 + 1])), n)
 
 
-def envelope(duration, energy, sample_rate, guard, phase_of):
+def envelope(duration, energy, sample_rate, bandwidth, phase_of):
     """Constant-modulus samples sqrt(E/T)*exp(j*phase_of(t)) at the
     n = max(round(rate*T), 2) nodes of :func:`unit_envelope`.
 
+    The one Nyquist guard: ValueError unless the rate is finite, positive
+    and at least 2*max(B, 1/T) for the two-sided ``bandwidth`` B in Hz.
     ``phase_of`` must be even, phase_of(-t) == phase_of(t) bit for bit,
     as the chirp's pi*B*t^2/T and the MTSFM's -sum_k beta_k cos(2*pi*k*t/T)
     are: it is evaluated on half the nodes. Returns ``(t, samples)``.
-    ValueError unless the rate is finite, positive and at least
-    ``guard``, the caller's Nyquist guard in Hz.
     """
+    guard = 2.0 * max(finite_nonnegative("bandwidth", bandwidth), 1.0 / duration)
     if finite_positive("sample_rate", sample_rate) < guard:
         raise ValueError(
             f"sample_rate {sample_rate:.3g} Hz below Nyquist guard {guard:.3g} Hz"
@@ -145,14 +142,11 @@ def envelope(duration, energy, sample_rate, guard, phase_of):
 
 
 def time_series(w: MtsfmWaveform, sample_rate: float):
-    """Complex envelope samples on [-T/2, T/2) at a uniform rate.
-
-    Returns ``(t, samples)``. The rate must be at least twice the Nyquist
-    rate of the instantaneous-frequency bound (or of 1/T, whichever is
-    larger); below that ValueError is raised.
-    """
-    guard = 4.0 * max(max_instantaneous_freq(w), 1.0 / w.duration)
-    return envelope(w.duration, w.energy, sample_rate, guard, lambda t: phase(w, t))
+    """Complex envelope samples on [-T/2, T/2) at a uniform rate, which
+    :func:`envelope` guards on Carson's bandwidth 2*(w + K)/T: the lines
+    reach about w + K orders, w the index weight. Returns ``(t, samples)``."""
+    carson = 2.0 * (w.index_weight + w.num_harmonics) / w.duration
+    return envelope(w.duration, w.energy, sample_rate, carson, lambda t: phase(w, t))
 
 
 def _fft_size(order_bound: int) -> int:

@@ -33,7 +33,7 @@ from miwave import (
 )
 from miwave.cli import EXIT_OK, main
 from miwave.experiment import load_config, run_experiment
-from miwave.mtsfm import max_instantaneous_freq, phase
+from miwave.mtsfm import phase
 from miwave.spectral import recentre
 
 from conftest import d2_rows, dump_config, random_feasible_esd
@@ -141,7 +141,7 @@ def test_criterion_4_constant_modulus():
         e = float(rng.uniform(0.5, 8.0))
         t_dur = float(rng.uniform(0.5, 3.0))
         w = MtsfmWaveform(t_dur, e, tuple(rng.uniform(-3, 3, k)))
-        rate = 4.0 * max(max_instantaneous_freq(w), 1.0 / t_dur) + 16.0
+        rate = 4.0 * (w.index_weight + w.num_harmonics) / t_dur + 16.0
         _, x = time_series(w, rate)
         ref = np.sqrt(e / t_dur)
         worst = max(worst, np.max(np.abs(np.abs(x) - ref)) / ref)

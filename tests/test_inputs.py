@@ -65,6 +65,8 @@ CASES = [
     ("MtsfmWaveform", "energy", lambda x: MtsfmWaveform(1.0, x, (1.0,))),
     ("envelope", "sample_rate",
      lambda x: envelope(1.0, 1.0, x, 1.0, lambda t: 0.0 * t)),
+    ("envelope", "bandwidth",
+     lambda x: envelope(1.0, 1.0, 64.0, x, lambda t: 0.0 * t)),
     ("time_series", "sample_rate", lambda x: time_series(WAVE, x)),
     ("lfm_time_series", "sample_rate", lambda x: lfm_time_series(CHIRP, x)),
     ("rms_bandwidth", "energy", lambda x: rms_bandwidth(FLAT, x)),

@@ -15,7 +15,7 @@ from miwave import (
     time_series,
 )
 from miwave import mtsfm
-from miwave.mtsfm import max_instantaneous_freq, phase
+from miwave.mtsfm import phase
 from miwave.spectral import recentre
 
 
@@ -50,7 +50,7 @@ class TestTimeSeries:
             beta = rng.uniform(-4, 4, k)
             e, t_dur = float(rng.uniform(0.5, 4)), float(rng.uniform(0.5, 2))
             w = MtsfmWaveform(t_dur, e, tuple(beta))
-            rate = 4.0 * max(max_instantaneous_freq(w), 1.0 / t_dur) + 16.0
+            rate = 4.0 * (w.index_weight + w.num_harmonics) / t_dur + 16.0
             _, x = time_series(w, rate)
             ref = np.sqrt(e / t_dur)
             assert np.max(np.abs(np.abs(x) - ref)) <= 1e-12 * ref
@@ -70,6 +70,22 @@ class TestTimeSeries:
         w = MtsfmWaveform(1.0, 1.0, (5.0, 5.0))
         with pytest.raises(ValueError, match="Nyquist"):
             time_series(w, 8.0)
+
+    def test_guard_covers_the_carson_bandwidth(self):
+        # index weight w = 0.4, but harmonic 8 puts J_1(0.05) at +-8/T:
+        # the lines reach w + K orders, so the guard is 4*(w + K)/T
+        w = MtsfmWaveform(1.0, 1.0, (0.0,) * 7 + (0.05,))
+        with pytest.raises(ValueError, match="Nyquist"):
+            time_series(w, 4.0)
+        rate = 4.0 * (w.index_weight + w.num_harmonics) / w.duration
+        with pytest.raises(ValueError, match="Nyquist"):
+            time_series(w, rate * (1 - 1e-12))
+        _, x = time_series(w, rate)
+        n = x.size
+        assert (rate, n) == (pytest.approx(33.6), 34)
+        m = np.arange(-8, 9)
+        dft = np.fft.fft(x)[m % n] / n * (-1.0) ** m
+        np.testing.assert_allclose(dft, recentre(coefficients(w), 8), rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("duration", [1.0, 0.7])
     @pytest.mark.parametrize("n", [64, 65])
