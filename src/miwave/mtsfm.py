@@ -161,7 +161,8 @@ def _fft_size(order_bound: int) -> int:
     Parseval tail is 2.9e-5 at B = 20 and 3.2e-8 at B = 30, and it
     exceeds ``TAIL_TOL`` at B = ceil(weight) + 16 for 191 of 200 random
     K = 8 waveforms with beta_k in [-2, 2]. The doubling loop of
-    :func:`coefficients` is what reaches ``TAIL_TOL``.
+    :func:`coefficients` is what reaches ``TAIL_TOL``. The LFM comparator
+    takes its size here too, at the larger of M/2 and B*T orders.
     """
     return max(1 << (4 * order_bound + 1).bit_length(), 64)
 

@@ -30,7 +30,7 @@ __all__ = [
 
 
 #: largest grid in bins; ``miwave design`` on ``configs/clutter_notch.yaml``
-#: at this size peaks at about 350 MB resident (x86_64, numpy 2.4), growing
+#: at this size peaks at about 215 MB resident (x86_64, numpy 2.4), growing
 #: linearly with the bins (the LFM match's chirp FFTs, the ESD table's floats)
 MAX_BINS = 2**18 + 1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from miwave import Scenario, SpectralDensity, build_parametric_psd, make_grid
+from miwave import Scenario, SpectralDensity, build_parametric_psd, detection_metric, make_grid
 
 
 @pytest.fixture
@@ -40,6 +40,30 @@ def dump_config(cfg, path):
     """Write an ExperimentConfig as the YAML mapping load_config reads."""
     with open(path, "w") as fh:
         yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)
+
+
+def roc_deviations(esd, scenario, mc, p_fa_grid):
+    """``(p_d_dev, p_fa_dev)`` per false-alarm rate: a Monte Carlo ROC's
+    deviations, in binomial standard errors, from the exact laws of its
+    statistic at each returned threshold tau.
+
+    Under H0 the statistic is exponential with mean
+    s0 = T*sum ESD/(P_h*ESD + P_n), and under H1 with mean s0*(1 + d^2).
+    So at tau the false-alarm rate is exp(-tau/s0), set against p_fa, and
+    the detection rate exp(-tau/(s0*(1 + d^2))), set against ``mc.p_d``.
+    The threshold's noise and the detection count's are checked apart,
+    each by its own binomial standard error.
+    """
+    denom = scenario.channel_psd.values * esd.values + scenario.noise_psd.values
+    s0 = scenario.grid.duration * np.sum(esd.values / denom)
+    d2 = detection_metric(esd, scenario)
+    out = []
+    for p_fa, p_hat, tau in zip(p_fa_grid, mc.p_d, mc.thresholds):
+        p_d = np.exp(-tau / (s0 * (1.0 + d2)))
+        p_fa_at_tau = np.exp(-tau / s0)
+        out.append((abs(p_hat - p_d) / np.sqrt(p_d * (1.0 - p_d) / mc.trials),
+                    abs(p_fa_at_tau - p_fa) / np.sqrt(p_fa * (1.0 - p_fa) / mc.trials)))
+    return out
 
 
 def _suite_scenarios():

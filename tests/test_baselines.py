@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import fresnel
 
 from miwave import (
     LfmWaveform,
@@ -58,13 +59,33 @@ class TestLfmEsd:
     def test_keeps_only_in_band_energy(self):
         grid = make_grid(20.0, 1.0)
         esd = lfm_esd(LfmWaveform(1.0, 4.0, 15.0), grid)
-        # E*T*sum |X_m/n|^2 over the grid's bins, from unit-modulus samples
-        # on the n nodes the comparator uses: 8*max(21, 16) rounded up to 256
-        n = 256
+        # E*T*sum |X_m/n - end|^2 over the grid's bins, from unit-modulus
+        # samples on the n nodes the comparator uses: 4*max(10, 15) + 2
+        # rounded up to 64, less the end term of the slope jump at -T/2
+        n = 64
         _, x = lfm_time_series(LfmWaveform(1.0, 1.0, 15.0), float(n))
-        in_band = np.sum(np.abs(np.fft.fft(x)[grid.bin_indices % n] / n) ** 2)
+        end = 1j * np.pi * 15.0 * x[0] / (6.0 * n * n)
+        in_band = np.sum(np.abs(np.fft.fft(x)[grid.bin_indices % n] / n - end) ** 2)
         assert integrate(esd) < 4.0
         assert integrate(esd) == pytest.approx(4.0 * in_band * grid.spacing, rel=1e-12)
+
+    @pytest.mark.parametrize("frac", [0.01, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize(
+        "band_width, duration", [(20.0, 1.0), (20.0, 0.7), (100.0, 2.5), (1000.0, 1.0)]
+    )
+    def test_matches_fresnel_closed_form(self, band_width, duration, frac):
+        # c_m = integral over s in [-1/2, 1/2) of exp(j*pi*B*T*s^2 - j*2*pi*m*s),
+        # so |c_m|^2 = |F(u_2) - F(u_1)|^2/(2*B*T), F = C + jS, at
+        # u_1,2 = sqrt(2*B*T)*(-+1/2 - m/(B*T))
+        grid = make_grid(band_width, duration)
+        bt = frac * band_width * duration
+        m = grid.bin_indices
+        s1, c1 = fresnel(np.sqrt(2.0 * bt) * (-0.5 - m / bt))
+        s2, c2 = fresnel(np.sqrt(2.0 * bt) * (0.5 - m / bt))
+        want = ((c2 - c1) ** 2 + (s2 - s1) ** 2) / (2.0 * bt)
+        # at E = 1 the grid ESD is T*|c_m|^2
+        got = lfm_esd(LfmWaveform(duration, 1.0, frac * band_width), grid).values / duration
+        assert np.max(np.abs(got - want)) <= 3e-4 * want.max()
 
     @pytest.mark.parametrize("band_width, duration", [(20.0, 1.0), (20.0, 0.7), (100.0, 2.5)])
     def test_dc_chirp_is_the_dc_mtsfm(self, band_width, duration):
@@ -157,10 +178,10 @@ class TestMatchRmsBandwidth:
 
 
 class TestFullBandMemo:
-    """The full-band sweep B = W's coefficient power is computed once per
-    duration and grid, and shared read-only."""
+    """The full-band sweep B = W, which every match evaluates: computed
+    by each call, from no array another call holds."""
 
-    def test_one_full_band_spectrum_per_design_sweep(self, monkeypatch, tmp_path):
+    def test_full_band_spectra_per_design_sweep(self, monkeypatch, tmp_path):
         config = dataclasses.replace(
             load_config(CONFIG_DIR / "clutter_peak.yaml"),
             energy_list=tuple(float(e) for e in np.geomspace(0.25, 16.0, 16)),
@@ -175,14 +196,13 @@ class TestFullBandMemo:
 
         monkeypatch.setattr(baselines, "_chirp_power", counted)
         esds = _spectra(monkeypatch)
-        baselines._full_band_power.cache_clear()
         records = run_experiment(config, design_only=True)
         clamped = sum(r["lfm_sweep_bandwidth"] == config.band_width for r in records)
         # every match evaluates B = W first, and each clamped energy's
-        # comparator ESD is the B = W one again
+        # comparator ESD is the B = W one, computed again
         assert esds.count(config.band_width) == 16
         assert 0 < clamped < 16
-        assert full == [config.band_width]
+        assert len(full) == 16 + clamped
         # the other spectra: the interior root-find steps, then the
         # comparator ESD of each energy that did not clamp
         assert len(other) == (len(esds) - 16) + (16 - clamped)
@@ -191,16 +211,13 @@ class TestFullBandMemo:
     def test_equals_uncached_computation(self, band_width, duration):
         grid = make_grid(band_width, duration)
         w = LfmWaveform(duration, 3.0, grid.band_width)
+        # n = 4*max(M/2, B*T) + 2 rounded up to a power of two, at least 64
+        n = {(20.0, 1.0): 128, (20.0, 0.7): 64, (100.0, 2.5): 1024}[band_width, duration]
         # at E = T the chirp's amplitude sqrt(E/T) is exactly 1
-        n = 1 << int(np.ceil(np.log2(8 * (grid.num_bins + 1))))
         _, x = lfm_time_series(LfmWaveform(duration, duration, grid.band_width), n / duration)
-        want = 3.0 * duration * np.abs(np.fft.fft(x)[grid.bin_indices % n] / n) ** 2
-        baselines._full_band_power.cache_clear()
-        got = [lfm_esd(w, grid).values, lfm_esd(w, grid).values]  # computed, then kept
-        for other in np.arange(4.0, 44.0, 4.0):  # more grids than the cache holds
-            lfm_esd(LfmWaveform(3.0, 1.0, other), make_grid(other, 3.0))
-        got.append(lfm_esd(w, grid).values)  # computed again after its eviction
-        for values in got:
+        end = 1j * np.pi * grid.band_width * duration * x[0] / (6.0 * n * n)
+        want = 3.0 * duration * np.abs(np.fft.fft(x)[grid.bin_indices % n] / n - end) ** 2
+        for values in (lfm_esd(w, grid).values, lfm_esd(w, grid).values):
             np.testing.assert_allclose(values, want, rtol=1e-15, atol=0)
 
     def test_writing_a_returned_esd_leaves_the_next_call(self):
@@ -214,8 +231,6 @@ class TestFullBandMemo:
         first.values.flags.writeable = True
         first.values[:] = -1.0
         assert lfm_esd(w, grid).values.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            baselines._full_band_power(1.0, grid)[0] = 0.0
 
 
 class TestBrentq:

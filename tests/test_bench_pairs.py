@@ -1,5 +1,6 @@
 """``tools/bench_pairs.py`` refuses a pair count its summary cannot use
-before it runs the benchmark. ``subprocess.run`` is replaced, so no
+before it runs the benchmark, and summarises each side and the per-pair
+ratio of the pairs it runs. ``subprocess.run`` is replaced, so no
 benchmark runs here; the tool is loaded by path without writing bytecode
 next to it."""
 
@@ -25,8 +26,8 @@ def tool(monkeypatch):
     return module
 
 
-def _argv(pairs, out):
-    return ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "roc_mc",
+def _argv(pairs, out, parent=ROOT):
+    return ["--parent", str(parent), "--change", str(ROOT), "--workload", "roc_mc",
             "--pairs", str(pairs), "--seconds", "1", "--out", str(out)]
 
 
@@ -44,18 +45,28 @@ def test_too_few_pairs_exits_before_any_run(tool, pairs, tmp_path, monkeypatch, 
 
 
 def test_two_pairs_write_the_summary(tool, tmp_path, monkeypatch):
-    # a control: the same command line with two pairs runs four times
+    # a control: the same command line with two pairs runs four times; the
+    # parent reads 2.0 on every metric but energy_rel_err, which reads 0.0 on
+    # both sides, and the change 1.0 in pair 0 and 3.0 in pair 1
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    line = json.dumps({"correct": True, "attempted": 3, "failed": 0,
-                       "metrics": {name: {"value": 1.0} for name in names}})
     calls = []
 
-    def fake_run(cmd, **kwargs):
+    def fake_run(cmd, cwd, **kwargs):
         calls.append(cmd)
+        value = (1.0, 3.0)[int(cmd[cmd.index("--seed") + 1])] if cwd == ROOT else 2.0
+        metrics = {name: {"value": value} for name in names}
+        metrics["energy_rel_err"]["value"] = 0.0
+        line = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
         return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
-    assert tool.main(_argv(2, tmp_path / "bench.json")) == 0
+    assert tool.main(_argv(2, tmp_path / "bench.json", parent=tmp_path / "parent")) == 0
     entry = json.loads((tmp_path / "bench.json").read_text())["roc_mc"]
     assert len(calls) == 4 and entry["all_correct"]
-    assert entry["summary"]["wall_s"]["parent"]["n"] == 2
+    wall = entry["summary"]["wall_s"]
+    assert wall["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 2}
+    # per-pair ratios 0.5 and 1.5
+    assert wall["ratio"] == {"median": 1.0, "q1": 0.75, "q3": 1.25, "n": 2}
+    assert entry["wins"]["wall_s"] == "1/2"
+    # no ratio to a parent value of 0
+    assert "ratio" not in entry["summary"]["energy_rel_err"]

@@ -11,8 +11,9 @@ both checkouts, parent first in even pairs and change first in odd ones.
 ``--traced-seed`` adds one ``--trace 1`` run per side. The entry for the
 workload in ``--out`` is replaced; other workloads in it are kept. Each
 side gets median and quartiles per end-to-end metric of the change's
-``BENCHMARK.json``, and ``wins`` counts the pairs where the change reads
-better than the parent (ties count for neither).
+``BENCHMARK.json``; so does ``ratio``, the per-pair change/parent ratio,
+when no parent value is 0. ``wins`` counts the pairs where the change
+reads better than the parent (ties count for neither).
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
         name, better = metric["name"], metric["better"]
         runs = {side: [p[side]["metrics"][name] for p in pairs] for side in sides}
         summary[name] = {side: spread(v) for side, v in runs.items()}
+        if all(runs["parent"]):
+            summary[name]["ratio"] = spread(
+                [c / p for p, c in zip(runs["parent"], runs["change"])])
         sign = 1.0 if better == "lower" else -1.0
         won = sum(sign * (a - b) > 0 for a, b in zip(runs["parent"], runs["change"]))
         wins[name] = f"{won}/{len(pairs)}"
