@@ -14,7 +14,6 @@ thresholds the same statistic empirically.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,17 +96,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_block(seed: int, block: int, coef, chunk, u0, amp) -> None:
+def _draw_block(seed: int, block: int, coef, rows: int, u0, amp) -> None:
     """Fill block ``block``'s slice of ``u0`` with Z @ coef, then that of
     ``amp`` with standard complex normals, from the block's own stream.
     Z[t, m] = N[t, 2m] + 1j*N[t, 2m+1] for a standard-normal
-    (rows x 2*coef.size) block N, drawn in row chunks into ``chunk``. A
-    generator fills sequentially, so the chunks hold one whole draw of N."""
+    (rows x 2*coef.size) block N, drawn in chunks of ``rows`` rows into
+    one buffer of the block's own. A generator fills sequentially, so the
+    chunks hold one whole draw of N."""
     lo = block * _BLOCK_TRIALS
     hi = min(lo + _BLOCK_TRIALS, u0.size)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
-    for start in range(lo, hi, chunk.shape[0]):
-        z = chunk[: min(chunk.shape[0], hi - start)]
+    chunk = np.empty((rows, 2 * coef.size))
+    for start in range(lo, hi, rows):
+        z = chunk[: min(rows, hi - start)]
         rng.standard_normal(out=z)
         np.einsum("ij,j->i", z.view(complex), coef,
                   out=u0[start : start + z.shape[0]])
@@ -115,36 +116,22 @@ def _draw_block(seed: int, block: int, coef, chunk, u0, amp) -> None:
 
 
 def _projected_draws(seed: int, coef, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(u0, amp)``, ``trials`` each, filled by :func:`_draw_block` on
-    W = min(blocks, usable CPUs) workers. Worker w takes blocks w, w+W, ...
-    with one chunk buffer; worker 0 is the calling thread, so W = 1 starts
-    no thread. A worker's exception is raised once all have stopped. Chunk
-    rows depend only on the weighted-bin count ``coef.size``, so the
-    results do not depend on W. The sums are einsum loops, not BLAS
-    calls, so no BLAS thread pool competes with the workers."""
+    """``(u0, amp)``, ``trials`` each, filled by :func:`_draw_block`, one
+    call per block, on a thread pool of min(blocks, usable CPUs) threads.
+    A failed block's exception reaches the caller once no block runs.
+    Chunk rows depend only on the weighted-bin count ``coef.size`` and
+    each block writes only its own slices, so the results do not depend
+    on the pool's size or its scheduling. The sums are einsum loops, not
+    BLAS calls, so no BLAS thread pool competes with the pool."""
+    # imported here: only `roc` draws, so `design` and `fit` never pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     rows = min(_BLOCK_TRIALS, max(1, _CHUNK_DOUBLES // (2 * max(1, coef.size))))
     u0 = np.empty(trials, dtype=complex)
     amp = np.empty(trials, dtype=complex)
     blocks = -(-trials // _BLOCK_TRIALS)
-    workers = min(blocks, _usable_cpus())
-    errors = []
-
-    def work(first: int) -> None:
-        try:
-            chunk = np.empty((rows, 2 * coef.size))
-            for block in range(first, blocks, workers):
-                _draw_block(seed, block, coef, chunk, u0, amp)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(min(blocks, _usable_cpus())) as pool:
+        list(pool.map(lambda b: _draw_block(seed, b, coef, rows, u0, amp), range(blocks)))
     return u0, amp
 
 
@@ -185,10 +172,10 @@ def monte_carlo_roc(
     (rows x 2*weighted bins) block, a row holding its trial's weighted
     bins in order, real then imaginary part, drawn in row chunks, each
     reduced at once to its per-trial share of the H0 receiver output u0;
-    then the amplitudes' real and imaginary parts, alternating. The
-    blocks are drawn on up to one thread per usable CPU, and a seed gives
-    the same bytes on any number of CPUs, and the same ROC as drawing
-    each block whole. Memory is O(trials + workers*chunk).
+    then the amplitudes' real and imaginary parts, alternating. A thread
+    pool of up to one thread per usable CPU draws the blocks, and a seed
+    gives the same bytes on any number of CPUs, and the same ROC as
+    drawing each block whole. Memory is O(trials + threads*chunk).
     """
     trials, p_fa_grid = check_roc_params(trials, p_fa_grid)
     seed = as_int("seed", seed, 0)

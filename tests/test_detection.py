@@ -285,15 +285,27 @@ class TestMonteCarlo:
         with pytest.raises(RuntimeError, match="block 2 failed"):
             monte_carlo_roc(esd, sc, 4 * detection._BLOCK_TRIALS, 0)
 
-    @pytest.mark.parametrize("cpus, trials", [(1, 3 * detection._BLOCK_TRIALS), (4, 5000)])
-    def test_one_worker_starts_no_thread(self, cpus, trials, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
+    @pytest.mark.parametrize("cpus, trials", [
+        (1, 3 * detection._BLOCK_TRIALS),
+        (4, 5000),
+        (3, 4 * detection._BLOCK_TRIALS + 1),
+        (64, 3 * detection._BLOCK_TRIALS),
+    ])
+    def test_every_block_is_drawn_exactly_once(self, cpus, trials, monkeypatch):
+        # a block drawn twice writes the same bytes twice, so equal outputs
+        # cannot show it; the ledger of block indices does
+        draw_block = detection._draw_block
+        drawn = []
+
+        def recording(seed, block, *args):
+            drawn.append(block)
+            draw_block(seed, block, *args)
 
         monkeypatch.setattr(detection, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(detection.threading, "Thread", no_thread)
+        monkeypatch.setattr(detection, "_draw_block", recording)
         esd, sc = _colored_case(10.0)
         assert monte_carlo_roc(esd, sc, trials, 0).trials == trials
+        assert sorted(drawn) == list(range(-(-trials // detection._BLOCK_TRIALS)))
 
     @pytest.mark.parametrize("band_width", [10.0, 100.0])
     @pytest.mark.parametrize("seed", range(5))

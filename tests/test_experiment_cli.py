@@ -686,6 +686,12 @@ class TestCli:
     def test_report_on_missing_file(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "none.csv")]) == EXIT_CONFIG
 
+    def test_report_on_header_only_file(self, tmp_path, capsys):
+        path = tmp_path / "fit_E1.csv"
+        path.write_text(",".join(miwave.experiment._FIT_HEADER) + "\n")
+        assert main(["report", str(path)]) == EXIT_CONFIG
+        assert f"{path} contains no fit rows" in capsys.readouterr().err
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg, path = self._write_cfg(tmp_path)
         out_a, out_b = tmp_path / "sa", tmp_path / "sb"

@@ -24,6 +24,7 @@ from miwave import (
     match_rms_bandwidth,
     monte_carlo_roc,
     rms_bandwidth,
+    solve_ofdm_coeffs,
     time_series,
 )
 from miwave.mtsfm import envelope
@@ -148,3 +149,37 @@ def test_non_finite_signed_scalar_is_refused_by_name(entry, param, call, bad):
 def test_non_finite_target_coefficient_is_refused_by_name(bad):
     with pytest.raises(ValueError, match=r"^c must be finite"):
         OfdmTarget(np.array([bad, 1.0, 0.5]), 1.0)
+
+
+OTHER_GRID = make_grid(6.0, 1.0)
+
+
+def _table(freqs, values):
+    return build_parametric_psd("custom_table", {"freqs": freqs, "values": values}, GRID)
+
+
+# inputs that are each finite but do not fit together: (call, message)
+MISMATCHES = {
+    "Scenario-grids": (
+        lambda: Scenario(FLAT, SpectralDensity(OTHER_GRID, np.ones(OTHER_GRID.num_bins)),
+                         1.0, 1.0),
+        "noise and channel PSDs must share a grid"),
+    "custom_table-lengths": (
+        lambda: _table([-10.0, 10.0], [1.0, 1.0, 1.0]),
+        "freqs and values must be 1-D arrays of equal length"),
+    "custom_table-decreasing": (
+        lambda: _table([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]),
+        "table frequencies must be strictly increasing"),
+    "custom_table-repeated": (
+        lambda: _table([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+        "table frequencies must be strictly increasing"),
+    "solve_ofdm_coeffs-grid": (
+        lambda: solve_ofdm_coeffs(FLAT, OTHER_GRID, 1.0),
+        "ESD must live on the supplied grid"),
+}
+
+
+@pytest.mark.parametrize("call, message", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_mismatched_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

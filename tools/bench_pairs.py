@@ -14,6 +14,11 @@ side gets median and quartiles per end-to-end metric of the change's
 ``BENCHMARK.json``; so does ``ratio``, the per-pair change/parent ratio,
 when no parent value is 0. ``wins`` counts the pairs where the change
 reads better than the parent (ties count for neither).
+
+Before every run the tool removes each ``__pycache__`` under the
+checkout's ``src/``. The benchmark's workers write no bytecode but read
+any they find, so a cache left by a test run would make one side's
+``setup_s`` time cached imports and the other's uncached ones.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,6 +42,8 @@ def host() -> dict:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    for cache in sorted((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
