@@ -169,7 +169,7 @@ def objective_and_gradient(
     # real squares and products only: a complex product with a conjugate
     # can round a row differently with the number of rows in the batch
     resid = target.energy / n**2 * (big_x.real**2 + big_x.imag**2) - t_pow
-    f_val = np.sum(resid**2, axis=-1)
+    f_val = (resid**2).sum(-1)
     adj = np.fft.ifft(resid * big_x, axis=-1)
     im = x.imag * adj.real - x.real * adj.imag
     # an einsum, so that a row's gradient does not depend on the other rows
@@ -222,17 +222,20 @@ def _search(x, lo, hi, h, target, order_bound):
     objective by at most ``F_TOL`` relative, or after ``MAX_ITER``
     iterations, the first of these in this order giving its message.
     Every operation is row-wise, so a row's path does not depend on the
-    other rows.
+    other rows. The bookkeeping is whole-batch: a pass writes the new
+    pairs, points and steps of all live rows by masked writes, not by
+    gathering the rows a rule selects, and a row's stop rule is decided
+    once, on the pass it ends.
 
     Returns the final points x, objectives and termination messages.
     """
     n_rows, k_dim = x.shape
     out_x = np.empty_like(x)
     out_f = np.empty(n_rows)
-    out_status = np.empty(n_rows, dtype=object)
+    out_rule = np.empty(n_rows, dtype=int)  # index of the row's message
 
     xt = x.copy()  # each row's trial point, its start first
-    xt[:, 0] = np.clip(xt[:, 0], lo, hi)
+    xt[:, 0] = xt[:, 0].clip(lo, hi)
     x, f, g = xt.copy(), np.zeros(n_rows), np.zeros_like(xt)  # last accepted
     step = np.ones(n_rows)
     at_start = True
@@ -249,36 +252,42 @@ def _search(x, lo, hi, h, target, order_bound):
     while True:
         ft, gt = objective_and_gradient(_rows_times(xt, h), target, order_bound)
         gt = _rows_times(gt, h)
-        moved = (not at_start) & (ft <= f + ARMIJO_C1 * np.sum(g * (xt - x), axis=-1))
+        s_step, y_step = xt - x, gt - g
+        moved = (not at_start) & (ft <= f + ARMIJO_C1 * (g * s_step).sum(-1))
         accepted = moved | at_start
         at_start = False
         misses = np.where(accepted, 0, misses + 1)
         failed = misses >= LINE_SEARCH_STEPS
         iters += moved
 
-        s_step, y_step = xt - x, gt - g
-        sy = np.sum(s_step * y_step, axis=-1)
-        yy = np.sum(y_step * y_step, axis=-1)
+        sy = (s_step * y_step).sum(-1)
+        yy = (y_step * y_step).sum(-1)
         store = moved & (sy > CURVATURE_TOL * yy)
-        # drop the oldest slot: U^-1 keeps its trailing block, the inverse
-        # of U's; the new pair adds the column u_i = s_i.y and corner s.y
-        s_mem[store, :-1], y_mem[store, :-1], sy_mem[store, :-1] = (
-            s_mem[store, 1:], y_mem[store, 1:], sy_mem[store, 1:]
-        )
-        s_mem[store, -1], y_mem[store, -1] = s_step[store], y_step[store]
-        sy_mem[store, -1] = sy[store]
-        inv = u_inv[store, 1:, 1:]
-        u_col = np.einsum("smk,sk->sm", s_mem[store, :-1], y_step[store])
-        u_inv[store, :-1, :-1] = inv
-        u_inv[store, :-1, -1] = -np.einsum("smn,sn->sm", inv, u_col) / sy[store, None]
-        u_inv[store, -1, :-1] = 0.0
-        u_inv[store, -1, -1] = 1.0 / sy[store]
-        gamma[store] = sy[store] / yy[store]
+        if store.any():
+            # drop the oldest slot: U^-1 keeps its trailing block, the inverse
+            # of U's; the new pair adds the column u_i = s_i.y and corner s.y.
+            # U^-1 is upper triangular, so its last row stays 0 off the
+            # corner. Every live row computes; a row that stores nothing
+            # divides by 1 and keeps its slots
+            mask = store[:, None]
+            sy_div = np.where(store, sy, 1.0)
+            u_col = np.einsum("smk,sk->sm", s_mem[:, 1:], y_step)
+            u_new = -np.einsum("smn,sn->sm", u_inv[:, 1:, 1:], u_col) / sy_div[:, None]
+            for mem, new in ((s_mem, s_step), (y_mem, y_step)):
+                np.copyto(mem[:, :-1], mem[:, 1:], where=mask[..., None])
+                np.copyto(mem[:, -1], new, where=mask)
+            np.copyto(sy_mem[:, :-1], sy_mem[:, 1:], where=mask)
+            np.copyto(sy_mem[:, -1], sy, where=store)
+            np.copyto(u_inv[:, :-1, :-1], u_inv[:, 1:, 1:], where=mask[..., None])
+            np.copyto(u_inv[:, :-1, -1], u_new, where=mask)
+            np.copyto(u_inv[:, -1, -1], 1.0 / sy_div, where=store)
+            np.copyto(gamma, sy / np.where(store, yy, 1.0), where=store)
         reduced = moved & (
             (f - ft) <= F_TOL * np.maximum(np.maximum(np.abs(f), np.abs(ft)), 1.0)
         )
-        x[accepted], f[accepted], g[accepted] = xt[accepted], ft[accepted], gt[accepted]
-        step[~accepted] *= 0.5
+        np.copyto(x, xt, where=accepted[:, None])
+        np.copyto(g, gt, where=accepted[:, None])
+        f = np.where(accepted, ft, f)
 
         # a row whose line search has ended is tested for a stop and, if it
         # goes on, starts a new one; the other rows keep backtracking
@@ -286,15 +295,13 @@ def _search(x, lo, hi, h, target, order_bound):
         frozen = ((x[:, 0] <= lo) & (g[:, 0] > 0)) | ((x[:, 0] >= hi) & (g[:, 0] < 0))
         pg = g.copy()
         pg[frozen, 0] = 0.0
-        # later rules overwrite earlier ones
-        stop = np.full(row.size, "", dtype=object)
-        stop[iters >= MAX_ITER] = ITERATION_LIMIT
-        stop[reduced] = CONVERGED_REDUCTION
-        stop[np.abs(pg).max(axis=1) <= G_TOL] = CONVERGED_GRADIENT
-        stop[failed] = LINE_SEARCH_FAILED
-        done = ended & (stop != "")
+        small_pg = np.abs(pg).max(1) <= G_TOL
+        capped = iters >= MAX_ITER
+        done = ended & (failed | small_pg | reduced | capped)
         if done.any():
-            out_status[row[done]] = stop[done]
+            # the first rule that fired, in the order of the messages below
+            rules = np.array((failed, small_pg, reduced, capped))
+            out_rule[row[done]] = rules[:, done].argmax(0)
             out_x[row[done]], out_f[row[done]] = x[done], f[done]
             keep = ~done
             row, x, f, g, pg, frozen, ended, step, misses = (
@@ -304,7 +311,9 @@ def _search(x, lo, hi, h, target, order_bound):
                 a[keep] for a in (s_mem, y_mem, sy_mem, u_inv, gamma, iters)
             )
             if not row.size:
-                return out_x, out_f, out_status.tolist()
+                messages = (LINE_SEARCH_FAILED, CONVERGED_GRADIENT,
+                            CONVERGED_REDUCTION, ITERATION_LIMIT)
+                return out_x, out_f, [messages[i] for i in out_rule.tolist()]
 
         # the two-loop recursion in closed form (Byrd, Nocedal and Schnabel,
         # Math. Prog. 1994): its first loop solves U alpha = S pg, its
@@ -317,11 +326,15 @@ def _search(x, lo, hi, h, target, order_bound):
         rhs = sy_mem * alpha - np.einsum("smk,sk->sm", y_mem, r)
         d = -(r + np.einsum("smk,sm->sk", s_mem, np.einsum("snm,sn->sm", u_inv, rhs)))
         d[frozen, 0] = 0.0
-        # without curvature pairs the first step has unit length, as in L-BFGS-B
-        first = np.minimum(1.0, 1.0 / np.sqrt(np.sum(d * d, axis=-1)))
-        step = np.where(ended, np.where(sy_mem[:, -1] > 0, 1.0, first), step)
+        # a row still backtracking halves its step; a new line search starts
+        # at a unit step, or without curvature pairs at a first step of unit
+        # length, as in L-BFGS-B
+        step = np.where(ended, 1.0, 0.5 * step)
+        first = ended & (sy_mem[:, -1] == 0)
+        if first.any():
+            step = np.where(first, np.minimum(1.0, 1.0 / np.sqrt((d * d).sum(-1))), step)
         xt = x + step[:, None] * d
-        xt[:, 0] = np.clip(xt[:, 0], lo, hi)
+        xt[:, 0] = xt[:, 0].clip(lo, hi)
 
 
 def check_fit_params(k_harmonics, delta, n_starts, seed) -> tuple:

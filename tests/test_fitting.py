@@ -361,6 +361,52 @@ class TestFit:
             few, many = (sorted(run, key=lambda r: r.start_index) for run in runs)
             assert few == many[:5]
 
+    def test_batch_rows_equal_rows_alone(self, monkeypatch):
+        # 12 searches drawn as fit draws them on the shipped notch scene at
+        # E = 2: they end on several passes, and each stores 27 to 45
+        # curvature pairs, more than MEMORY, so the slot shift runs. Row 0
+        # starts on the slab's upper bound, where its gradient points out
+        # of the slab, so its first coordinate starts frozen
+        cfg = load_config(CONFIG_DIR / "clutter_notch.yaml")
+        scenario = cfg.scenario(2.0)
+        esd = design_mi(scenario).esd
+        tgt = solve_ofdm_coeffs(esd, scenario.grid, integrate(esd))
+        kappa = support_halfwidth(tgt)
+        order_bound = max(tgt.half_order, int(np.ceil((1.0 + cfg.delta) * kappa)) + 16)
+        k_vec = np.arange(1.0, cfg.k_harmonics + 1)
+        h = fitting._slab_reflection(k_vec)
+        k_norm = np.linalg.norm(k_vec)
+        lo, hi = np.array([1.0 - cfg.delta, 1.0 + cfg.delta]) * kappa / k_norm
+        rng = np.random.default_rng(0)
+        draws = [
+            fitting._draw_start(rng, cfg.k_harmonics, kappa, cfg.delta) for _ in range(12)
+        ]
+        x = fitting._rows_times(np.array(draws), h)
+        x[0, 0] = hi
+        grad = objective_and_gradient(fitting._rows_times(x[:1], h), tgt, order_bound)[1]
+        assert fitting._rows_times(grad, h)[0, 0] < 0
+
+        sizes = []
+
+        def spy(beta, target, bound):
+            sizes.append(len(beta))
+            return objective_and_gradient(beta, target, bound)
+
+        monkeypatch.setattr(fitting, "objective_and_gradient", spy)
+        x_all, f_all, status_all = fitting._search(x, lo, hi, h, tgt, order_bound)
+        # a batch size for each pass on which some rows ended but not all
+        assert len(set(sizes)) >= 3
+        for i in range(len(x)):
+            sizes.clear()
+            x_one, f_one, status_one = fitting._search(
+                x[i : i + 1], lo, hi, h, tgt, order_bound
+            )
+            # more than MEMORY pairs take more than MEMORY + 1 passes
+            assert len(sizes) > fitting.MEMORY + 1
+            np.testing.assert_array_equal(x_one[0], x_all[i])
+            np.testing.assert_array_equal(f_one[0], f_all[i])
+            assert status_one == [status_all[i]]
+
     def test_line_search_failure_is_abnormal(self, monkeypatch):
         # no step can meet an Armijo constant above 1, so every search ends
         # in its first line search, at its start
@@ -389,6 +435,41 @@ class TestFit:
         assert status == [fitting.LINE_SEARCH_FAILED]
         assert f.tolist() == [0.5]
         assert len(calls) == len(script) + fitting.LINE_SEARCH_STEPS
+
+    def test_first_stop_rule_names_the_status(self, monkeypatch):
+        # four rows scripted pass by pass, each tagged by its second
+        # coordinate, which no step moves since the gradient has none; rows
+        # 0-2 end on the same accepted pass, with MAX_ITER = 1 reached by
+        # all three: gradient and reduction (0), reduction alone (1) and
+        # neither (2). Row 3 misses until its line search fails
+        scripts = {
+            0: [(1.0, 1e-11), (1.0, 0.0)],
+            1: [(1.0, 1e-11), (1.0, 1e-11)],
+            2: [(1.0, 1.0), (0.5, 1.0)],
+            3: [(1.0, 1.0)],
+        }
+        passes = {tag: 0 for tag in scripts}
+
+        def scripted(beta, target, order_bound):
+            f, g = np.empty(len(beta)), np.zeros_like(beta)
+            for i, tag in enumerate(beta[:, 1].astype(int).tolist()):
+                # past its script a row misses: f = 2 is above every start
+                script, k = scripts[tag], passes[tag]
+                f[i], g[i, 0] = script[k] if k < len(script) else (2.0, 1.0)
+                passes[tag] = k + 1
+            return f, g
+
+        monkeypatch.setattr(fitting, "objective_and_gradient", scripted)
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
+        starts = np.array([[0.0, tag] for tag in scripts])
+        x, f, status = fitting._search(starts, -10.0, 10.0, np.eye(2), None, 0)
+        assert status == [
+            fitting.CONVERGED_GRADIENT, fitting.CONVERGED_REDUCTION,
+            fitting.ITERATION_LIMIT, fitting.LINE_SEARCH_FAILED,
+        ]
+        assert f.tolist() == [1.0, 1.0, 0.5, 1.0]
+        assert x[:, 1].tolist() == list(scripts)
+        assert passes == {0: 2, 1: 2, 2: 2, 3: 1 + fitting.LINE_SEARCH_STEPS}
 
     @staticmethod
     def _assert_every_start_in_slab(results, kappa, delta):

@@ -12,6 +12,9 @@ strings on both sides (the config hash in ``summary.json`` covers
 
 - ``design``, ``fit --starts 6`` and ``roc --trials 20000`` on both shipped
   configs;
+- ``fit`` of the shipped peak config at its own ``n_starts``, 100, which
+  puts 300 searches in each batched call of the fit engine, the batch size
+  users run, where ``--starts 6`` puts 18;
 - ``design`` on the shipped notch config at ``duration`` 0.7, whose time
   nodes are not dyadic;
 - the seed-0 ``design_sweep`` and ``roc_mc`` jobs of the checkout's
@@ -91,6 +94,8 @@ def matrix(checkout: Path, root: Path) -> list:
             ("fit", "--config", cfg, "--starts", FIT_STARTS, "--out", f"{out}/fit"),
             ("roc", "--config", cfg, "--trials", ROC_TRIALS, "--out", f"{out}/roc"),
         ]
+    calls.append(("fit", "--config", f"configs/{SHIPPED[1]}.yaml",
+                  "--out", f"out/{SHIPPED[1]}/fit_config_starts"))
     notch = yaml.safe_load((root / "configs" / f"{SHIPPED[0]}.yaml").read_text())
     (root / "configs" / f"{NON_DYADIC}.yaml").write_text(yaml.safe_dump(dict(notch, duration=0.7)))
     calls.append(("design", "--config", f"configs/{NON_DYADIC}.yaml",
