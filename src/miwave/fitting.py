@@ -89,6 +89,9 @@ class OfdmTarget:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One start's fit: its indices, its objective and ``status`` from the
+    engine, and ``d_squared_achieved``, the start's d² in the fit's scene."""
+
     beta: tuple
     objective: float
     d_squared_achieved: float
@@ -205,24 +208,25 @@ def _rows_times(a: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("sk,kj->sj", a, h)
 
 
-def _search(x, lo, hi, h, target, order_bound):
+def _search(x, lo, hi, h, objective):
     """Projected L-BFGS from every row of ``x`` at once, in one loop.
 
-    The first coordinate is boxed to [lo, hi], the others are free. Each
-    pass makes one batched ``objective_and_gradient`` call, looked up at
-    call time so that a caller can wrap it to count or time evaluations,
-    at one trial point per live search: first its start, which it
-    accepts, then points along the projected path of its direction, the
-    step halved after each miss, until one meets the Armijo condition.
-    The direction comes from the row's last ``MEMORY`` curvature pairs
-    (an empty slot adds nothing), with the first coordinate frozen while
-    it sits at a bound with an outward gradient. A row stops when
-    ``LINE_SEARCH_STEPS`` trial points in a row miss, when its projected
-    gradient is at most ``G_TOL``, when its last step reduced the
-    objective by at most ``F_TOL`` relative, or after ``MAX_ITER``
-    iterations, the first of these in this order giving its message.
-    Every operation is row-wise, so a row's path does not depend on the
-    other rows. The bookkeeping is whole-batch: a pass writes the new
+    ``objective(beta)`` gives the (S,) objectives and (S, K) gradients in
+    beta of an (S, K) batch beta = H x, each row's those of the row alone.
+    The first coordinate of x is boxed to [lo, hi], the others are free.
+    Each pass makes one batched ``objective`` call, at one trial point per
+    live search: first its start, which it accepts, then points along the
+    projected path of its direction, the step halved after each miss, until
+    one meets the Armijo condition. The direction comes from the row's last
+    ``MEMORY`` curvature pairs (an empty slot adds nothing), with the first
+    coordinate frozen while it sits at a bound with an outward gradient. A
+    row stops when ``LINE_SEARCH_STEPS`` trial points in a row miss, when
+    its projected gradient is at most ``G_TOL``, when its last step reduced
+    the objective by at most ``F_TOL`` relative, or after ``MAX_ITER``
+    iterations, the first of these in this order giving its message. Every
+    operation is row-wise, as ``objective`` must be, so a row's path does
+    not depend on the other rows and start i of a fit is the same for any
+    number of starts. The bookkeeping is whole-batch: a pass writes the new
     pairs, points and steps of all live rows by masked writes, not by
     gathering the rows a rule selects, and a row's stop rule is decided
     once, on the pass it ends.
@@ -250,7 +254,7 @@ def _search(x, lo, hi, h, target, order_bound):
     misses = np.zeros(n_rows, dtype=int)  # trial points missed in a row
 
     while True:
-        ft, gt = objective_and_gradient(_rows_times(xt, h), target, order_bound)
+        ft, gt = objective(_rows_times(xt, h))
         gt = _rows_times(gt, h)
         s_step, y_step = xt - x, gt - g
         moved = (not at_start) & (ft <= f + ARMIJO_C1 * (g * s_step).sum(-1))
@@ -354,7 +358,7 @@ def fit(
     n_starts: int,
     seed: int,
     *,
-    scenario: Scenario | None = None,
+    scenario: Scenario,
 ) -> list[FitResult]:
     """Multistart constrained fit of MTSFM indices to a target spectrum.
 
@@ -372,17 +376,16 @@ def fit(
     start with ``CONVERGENCE: ``, ``ITERATION_LIMIT``, which is
     ``STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT``, and
     ``LINE_SEARCH_FAILED``, which starts with ``ABNORMAL: ``;
-    ``converged`` is true exactly for the two ``CONVERGENCE: `` ones. When a
-    ``scenario`` is supplied each result's detection metric is evaluated
-    on the scenario grid and the list is sorted by it, best first;
-    otherwise by objective value. Ties go to the lower start index.
+    ``converged`` is true exactly for the two ``CONVERGENCE: `` ones. Each
+    result's detection metric is evaluated on the ``scenario`` grid and
+    the list is sorted by it, best first, ties to the lower start index.
     """
     k_harmonics, delta, n_starts, seed = check_fit_params(
         k_harmonics, delta, n_starts, seed
     )
     kappa = support_halfwidth(target)
     lo, hi = (1.0 - delta) * kappa, (1.0 + delta) * kappa
-    order_bound = max(target.half_order, int(np.ceil(hi)) + 16)
+    order_bound = int(np.ceil(hi)) + 16
     k_vec = np.arange(1, k_harmonics + 1, dtype=float)
     # x = H beta turns lo <= k.beta <= hi into lo/|k| <= x_1 <= hi/|k|
     h = _slab_reflection(k_vec)
@@ -395,8 +398,10 @@ def fit(
             _draw_start(rng, k_harmonics, kappa, delta) for _ in range(LOCAL_SEARCHES)
         ]
     xs, f_vals, statuses = _search(
-        _rows_times(np.array(draws), h), lo / k_norm, hi / k_norm, h, target,
-        order_bound,
+        _rows_times(np.array(draws), h), lo / k_norm, hi / k_norm, h,
+        # looked up when called, so that a caller can wrap the public name
+        # to count or time evaluations
+        lambda beta: objective_and_gradient(beta, target, order_bound),
     )
     betas = _rows_times(xs, h)
 
@@ -406,24 +411,16 @@ def fit(
         # argmin keeps the earliest of equal objectives
         j = first + int(np.argmin(f_vals[first : first + LOCAL_SEARCHES]))
         beta = betas[j]
-        d2 = float("nan")
-        if scenario is not None:
-            w = MtsfmWaveform(
-                scenario.grid.duration, target.energy, tuple(beta)
-            )
-            esd = mtsfm.esd_on_grid(w, scenario.grid)
-            d2 = detection_metric(esd, scenario)
+        w = MtsfmWaveform(scenario.grid.duration, target.energy, tuple(beta))
+        esd = mtsfm.esd_on_grid(w, scenario.grid)
         results.append(
             FitResult(
                 beta=tuple(float(b) for b in beta),
                 objective=float(f_vals[j]),
-                d_squared_achieved=d2,
+                d_squared_achieved=detection_metric(esd, scenario),
                 status=statuses[j],
                 start_index=i,
             )
         )
-    if scenario is not None:
-        results.sort(key=lambda r: (-r.d_squared_achieved, r.start_index))
-    else:
-        results.sort(key=lambda r: (r.objective, r.start_index))
+    results.sort(key=lambda r: (-r.d_squared_achieved, r.start_index))
     return results

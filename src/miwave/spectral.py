@@ -272,9 +272,7 @@ def _clutter_notch(
     return level * (1.0 - notch_depth * np.exp(-(f**2) / (2.0 * notch_width**2)))
 
 
-def _custom_table(f: np.ndarray, W: float, freqs=None, values=None) -> np.ndarray:
-    if freqs is None or values is None:
-        raise ValueError("custom_table requires 'freqs' and 'values'")
+def _custom_table(f: np.ndarray, W: float, freqs, values) -> np.ndarray:
     freqs = np.array([float(finite_real("freqs", x)) for x in freqs])
     values = np.array([float(finite_nonnegative("values", v)) for v in values])
     if freqs.size != values.size:
@@ -301,8 +299,8 @@ def build_parametric_psd(
     ``kind`` is one of ``flat``, ``noise_valley``, ``clutter_peak``,
     ``clutter_notch`` or ``custom_table``; ``params`` are keyword
     arguments of the family (see the builder functions in this module).
-    Parameters the family does not take, or of the wrong type, raise
-    ValueError.
+    Parameters the family does not take or of the wrong type, and a
+    missing one that it needs, raise ValueError.
     """
     try:
         builder = PSD_KINDS[kind]

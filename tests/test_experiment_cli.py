@@ -174,7 +174,7 @@ class TestConfig:
         with pytest.raises(ValueError) as lib:
             if field in fit_args:
                 target = OfdmTarget(np.ones(3) / np.sqrt(3), 1.0)
-                fit(target, **{**fit_args, field: value})
+                fit(target, **{**fit_args, field: value}, scenario=scene)
             else:
                 roc_args = {**dict(trials=2000, p_fa_grid=(0.1,)), field: value}
                 monte_carlo_roc(scene.noise_psd, scene, seed=0, **roc_args)
@@ -467,12 +467,17 @@ class TestCli:
         [
             {"clutter_params": {"level": 1.0, "notch_depth": 0.9, "bogus": 1}},
             {"noise_params": {"n_min": "abc"}},
+            {"clutter_kind": "custom_table", "clutter_params": {"freqs": [-5.0, 5.0]}},
         ],
     )
     def test_bad_psd_params_are_config_errors(self, tmp_path, capsys, command, params):
         cfg, path = self._write_cfg(tmp_path, **params)
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if "clutter_kind" in params:
+            # a required parameter that the config lacks is named with its kind
+            assert "PSD kind 'custom_table'" in err and "'values'" in err
         assert not Path(cfg.out_dir).exists()
 
     @pytest.mark.parametrize(

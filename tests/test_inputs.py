@@ -84,10 +84,10 @@ CASES = [
     ("OfdmTarget", "energy", lambda x: OfdmTarget(np.ones(3) / np.sqrt(3), x)),
     ("esd_for_lambda", "lam", lambda x: esd_for_lambda(SCENE, x)),
     ("analytic_roc", "d_squared", lambda x: analytic_roc(x, [0.1])),
-    ("fit", "k_harmonics", lambda x: fit(TARGET, x, 0.2, 1, 0)),
-    ("fit", "delta", lambda x: fit(TARGET, 2, x, 1, 0)),
-    ("fit", "n_starts", lambda x: fit(TARGET, 2, 0.2, x, 0)),
-    ("fit", "seed", lambda x: fit(TARGET, 2, 0.2, 1, x)),
+    ("fit", "k_harmonics", lambda x: fit(TARGET, x, 0.2, 1, 0, scenario=SCENE)),
+    ("fit", "delta", lambda x: fit(TARGET, 2, x, 1, 0, scenario=SCENE)),
+    ("fit", "n_starts", lambda x: fit(TARGET, 2, 0.2, x, 0, scenario=SCENE)),
+    ("fit", "seed", lambda x: fit(TARGET, 2, 0.2, 1, x, scenario=SCENE)),
     ("monte_carlo_roc", "trials",
      lambda x: monte_carlo_roc(FLAT, SCENE, x, 0)),
     ("monte_carlo_roc", "seed",
