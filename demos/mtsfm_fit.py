@@ -46,8 +46,10 @@ print(f"best fit:     d^2 = {best.d_squared_achieved:.4f} "
 print("best modulation indices:")
 print("  " + "  ".join(f"b{k + 1}={b:+.3f}" for k, b in enumerate(best.beta)))
 
-wave = MtsfmWaveform(1.0, scenario.energy, best.beta)
+# the waveform fit() scored: the grid's duration at the target's energy
+wave = MtsfmWaveform(grid.duration, target.energy, best.beta)
 mtsfm_esd = esd_on_grid(wave, grid)
+assert detection_metric(mtsfm_esd, scenario) == best.d_squared_achieved
 print(f"fit ESD captures {integrate(mtsfm_esd) / scenario.energy:.4f} "
       "of the energy in band")
 

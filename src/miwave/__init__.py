@@ -19,8 +19,6 @@ from .design import (  # noqa: F401
     MiDesign,
     UnboundedAllocationError,
     design_mi,
-    esd_for_lambda,
-    solve_lambda,
 )
 from .detection import analytic_roc, detection_metric, monte_carlo_roc  # noqa: F401
 from .mtsfm import (  # noqa: F401

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Scenario, SpectralDensity, finite_positive, integrate
+from .spectral import Scenario, SpectralDensity, integrate
 
-__all__ = [
-    "MiDesign", "UnboundedAllocationError", "esd_for_lambda", "solve_lambda", "design_mi",
-]
+__all__ = ["MiDesign", "UnboundedAllocationError", "design_mi"]
 
 #: relative miss of the energy budget above which a design is refused
 ENERGY_RTOL = 1e-6
@@ -49,30 +47,7 @@ class MiDesign:
         return np.flatnonzero(self.esd.values > 0)
 
 
-def esd_for_lambda(scenario: Scenario, lam: float) -> SpectralDensity:
-    """Evaluate the water-filling ESD for a given water level.
-
-    Bins where the channel PSD is zero but the water-filling numerator is
-    positive would receive infinite energy; that raises
-    :class:`UnboundedAllocationError`.
-    """
-    finite_positive("lam", lam)
-    p_n = scenario.noise_psd.values
-    p_h = scenario.channel_psd.values
-    numer = np.sqrt(p_n / lam) - p_n
-    pos = numer > 0
-    hot = pos & (p_h == 0)
-    if np.any(hot):
-        raise UnboundedAllocationError(
-            f"channel PSD vanishes on {np.flatnonzero(hot).tolist()} where "
-            "the water-filling numerator is positive"
-        )
-    values = np.zeros_like(p_n)
-    values[pos] = numer[pos] / p_h[pos]
-    return SpectralDensity(scenario.grid, values)
-
-
-def solve_lambda(scenario: Scenario) -> float:
+def _water_level(scenario: Scenario) -> float:
     """Exact water level matching the scenario's energy budget.
 
     With mu = lambda^(-1/2) and the bins sorted by s = sqrt(P_n), the
@@ -107,12 +82,29 @@ def solve_lambda(scenario: Scenario) -> float:
 
 
 def design_mi(scenario: Scenario) -> MiDesign:
-    """Full matched-illumination design: solve the water level, evaluate
-    the ESD and check its energy. On a bin with a tiny P_h, E_s =
+    """Full matched-illumination design: the exact water level lambda,
+    reported as ``lagrange_lambda``, and the ESD at that float lambda.
+
+    The ESD integrates to E within 1e-12 relative plus a few roundings of
+    lambda, each worth lambda*|dE/dlambda|*eps. A zero-channel bin with a
+    positive numerator would get infinite energy and raises
+    :class:`UnboundedAllocationError`. On a bin with a tiny P_h, E_s =
     (mu*s - P_n)/P_h divides the rounding error of mu*s by P_h, so a
     relative miss of the budget above ``ENERGY_RTOL`` raises ValueError."""
-    lam = solve_lambda(scenario)
-    esd = esd_for_lambda(scenario, lam)
+    lam = _water_level(scenario)
+    p_n = scenario.noise_psd.values
+    p_h = scenario.channel_psd.values
+    numer = np.sqrt(p_n / lam) - p_n
+    pos = numer > 0
+    hot = pos & (p_h == 0)
+    if np.any(hot):
+        raise UnboundedAllocationError(
+            f"channel PSD vanishes on {np.flatnonzero(hot).tolist()} where "
+            "the water-filling numerator is positive"
+        )
+    values = np.zeros_like(p_n)
+    values[pos] = numer[pos] / p_h[pos]
+    esd = SpectralDensity(scenario.grid, values)
     energy = integrate(esd)
     if abs(energy - scenario.energy) > ENERGY_RTOL * scenario.energy:
         raise ValueError(

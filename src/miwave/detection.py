@@ -140,7 +140,7 @@ def monte_carlo_roc(
     scenario: Scenario,
     trials: int,
     seed: int,
-    p_fa_grid=(0.001, 0.01, 0.1, 0.5),
+    p_fa_grid,
 ) -> MonteCarloRoc:
     """Empirical ROC of the NP receiver for a transmit ESD, by simulation;
     ValueError unless ``esd`` and ``scenario`` share a grid.

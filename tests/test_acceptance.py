@@ -26,7 +26,6 @@ from miwave import (
     LfmWaveform,
     make_grid,
     monte_carlo_roc,
-    solve_lambda,
     spectrum,
     time_series,
 )
@@ -106,7 +105,7 @@ def test_criterion_1_water_filling_optimality(scenario_suite):
 
 
 def test_criterion_2_flat_case_lambda(flat_unit_scenario):
-    lam = solve_lambda(flat_unit_scenario)
+    lam = design_mi(flat_unit_scenario).lagrange_lambda
     ok = abs(lam - 0.25) <= 1e-8
     _verdict("2 flat-case water level", ok, f"lambda={lam:.10f}")
     assert ok

@@ -11,10 +11,8 @@ from miwave import (
     build_parametric_psd,
     design_mi,
     detection_metric,
-    esd_for_lambda,
     integrate,
     make_grid,
-    solve_lambda,
 )
 
 from conftest import d2_rows, random_feasible_esd
@@ -23,8 +21,17 @@ from conftest import d2_rows, random_feasible_esd
 def test_flat_case_closed_form_lambda(flat_unit_scenario):
     # flat P_n = P_h = 1 over a unit-measure band with E = 1:
     # the allocation sqrt(1/lam) - 1 equals 1 at lam = 1/4
-    lam = solve_lambda(flat_unit_scenario)
+    lam = design_mi(flat_unit_scenario).lagrange_lambda
     assert lam == pytest.approx(0.25, abs=1e-8)
+
+
+def _formula_at_lambda(design, scenario):
+    """max((sqrt(P_n/lambda) - P_n)/P_h, 0) at the design's own lambda,
+    as the design evaluates it: 0 wherever the numerator is not positive."""
+    p_n, p_h = scenario.noise_psd.values, scenario.channel_psd.values
+    numer = np.sqrt(p_n / design.lagrange_lambda) - p_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(numer > 0, numer / p_h, 0.0)
 
 
 def test_flat_scenario_gives_flat_esd(flat_unit_scenario):
@@ -40,20 +47,12 @@ def test_energy_constraint_on_suite(scenario_suite):
             sc = base.with_energy(e)
             design = design_mi(sc)
             assert abs(integrate(design.esd) - e) <= 1e-12 * e
+            np.testing.assert_array_equal(design.esd.values, _formula_at_lambda(design, sc))
 
 
 def test_notch_scenario_peaks_at_dc(notch_scenario):
     design = design_mi(notch_scenario)
     assert np.argmax(design.esd.values) == notch_scenario.grid.half_order
-
-
-def test_allocation_decreasing_in_lambda(notch_scenario):
-    lams = np.geomspace(1e-3, np.max(1.0 / notch_scenario.noise_psd.values), 30)
-    allocs = [
-        integrate(esd_for_lambda(notch_scenario, lam)) for lam in lams
-    ]
-    diffs = np.diff(allocs)
-    assert np.all(diffs[np.array(allocs[:-1]) > 0] < 0)
 
 
 def test_active_set_nondecreasing_in_energy(notch_scenario):
@@ -86,8 +85,6 @@ def test_zero_channel_error_and_floor(small_grid):
     sc = Scenario(noise, SpectralDensity(small_grid, vals), 1.0, 1.0)
     with pytest.raises(UnboundedAllocationError):
         design_mi(sc)
-    with pytest.raises(UnboundedAllocationError):
-        esd_for_lambda(sc, 0.5)
 
 
 def test_zero_channel_bin_inactive_at_solution(small_grid):
@@ -162,8 +159,9 @@ _POSITIVE = st.floats(1e-2, 1e2)
 def test_exact_water_level_or_unbounded(p_n, p_h, log_energy):
     # either the design meets E to 1e-12 (plus a few roundings of lambda,
     # which matter only where few bins sit just below the water level) and
-    # is active exactly where sqrt(P_n) < mu, or the bins below the lowest
-    # zero-channel level cannot hold E
+    # is active exactly where sqrt(P_n) < mu, with the formula's ESD at its
+    # own lambda, or the bins below the lowest zero-channel level cannot
+    # hold E
     grid = make_grid(10.0, 1.0)
     energy = 10.0**log_energy
     sc = Scenario(SpectralDensity(grid, p_n), SpectralDensity(grid, p_h), 1.0, energy)
@@ -179,13 +177,9 @@ def test_exact_water_level_or_unbounded(p_n, p_h, log_energy):
         return
     mu = design.lagrange_lambda**-0.5
     np.testing.assert_array_equal(design.active_set, np.flatnonzero(s < mu))
+    np.testing.assert_array_equal(design.esd.values, _formula_at_lambda(design, sc))
     step = _lambda_step(mu, s, p_h, design.active_set, grid.spacing)
     assert abs(integrate(design.esd) - energy) <= 1e-12 * energy + 8 * step
-
-
-def test_lambda_positive_required(notch_scenario):
-    with pytest.raises(ValueError):
-        esd_for_lambda(notch_scenario, 0.0)
 
 
 def test_better_than_random_feasible(scenario_suite):

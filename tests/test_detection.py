@@ -20,6 +20,8 @@ from miwave.experiment import load_config
 from conftest import roc_deviations
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# the false-alarm rates of the Monte Carlo tests that need no particular grid
+P_FA_GRID = (0.001, 0.01, 0.1, 0.5)
 
 
 def _flat_scenario(grid, noise_level=1.0, clutter_level=0.0, var_a=1.0, energy=1.0):
@@ -156,25 +158,27 @@ class TestMonteCarlo:
         grid = make_grid(4.0, 1.0)
         sc = _flat_scenario(grid)
         with pytest.raises(ValueError):
-            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), sc, 10, 0)
+            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), sc, 10, 0, P_FA_GRID)
 
     @pytest.mark.parametrize("trials", [20000.0, "20000", True, None])
     def test_rejects_non_integer_trials(self, trials):
         grid = make_grid(4.0, 1.0)
         sc = _flat_scenario(grid)
         with pytest.raises(ValueError, match="trials must be an integer"):
-            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), sc, trials, 0)
+            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), sc, trials, 0, P_FA_GRID)
 
     @pytest.mark.parametrize("seed", [1.5, -1])
     def test_rejects_bad_seed_by_name(self, seed):
         # numpy's own errors for these named no parameter
         grid = make_grid(4.0, 1.0)
         with pytest.raises(ValueError, match="seed must be"):
-            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), _flat_scenario(grid), 2000, seed)
+            monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), _flat_scenario(grid),
+                            2000, seed, P_FA_GRID)
 
     def test_accepts_numpy_integer_trials(self):
         grid = make_grid(4.0, 1.0)
-        mc = monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), _flat_scenario(grid), np.int64(2000), 0)
+        mc = monte_carlo_roc(SpectralDensity(grid, np.ones(grid.num_bins)), _flat_scenario(grid),
+                             np.int64(2000), 0, P_FA_GRID)
         assert type(mc.trials) is int and mc.trials == 2000
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -184,13 +188,13 @@ class TestMonteCarlo:
         values = np.ones(grid.num_bins)
         values[1] = bad
         with pytest.raises(ValueError, match="finite"):
-            monte_carlo_roc(SpectralDensity(grid, values), _flat_scenario(grid), 2000, 0)
+            monte_carlo_roc(SpectralDensity(grid, values), _flat_scenario(grid), 2000, 0, P_FA_GRID)
 
     def test_rejects_esd_on_another_grid(self):
         grid, other = make_grid(4.0, 1.0), make_grid(6.0, 1.0)
         esd = SpectralDensity(other, np.ones(other.num_bins))
         with pytest.raises(ValueError, match="ESD and scenario must share a grid"):
-            monte_carlo_roc(esd, _flat_scenario(grid), 2000, 0)
+            monte_carlo_roc(esd, _flat_scenario(grid), 2000, 0, P_FA_GRID)
 
     def test_analytic_column_is_analytic_roc(self):
         esd, sc = _colored_case(10.0)
@@ -228,7 +232,7 @@ class TestMonteCarlo:
         try:
             for cpus in (1, 3):
                 monkeypatch.setattr(detection, "_usable_cpus", lambda cpus=cpus: cpus)
-                runs.append(monte_carlo_roc(esd, sc, trials, 6))
+                runs.append(monte_carlo_roc(esd, sc, trials, 6, P_FA_GRID))
         finally:
             sys.setswitchinterval(interval)
         one, three = runs
@@ -266,8 +270,8 @@ class TestMonteCarlo:
         clutter = np.where(empty, rng.uniform(0.01, 0.05, empty.size), sc.channel_psd.values)
         other = Scenario(SpectralDensity(sc.grid, noise), SpectralDensity(sc.grid, clutter),
                          sc.target_variance, sc.energy)
-        a = monte_carlo_roc(esd, sc, 20000, 4)
-        b = monte_carlo_roc(esd, other, 20000, 4)
+        a = monte_carlo_roc(esd, sc, 20000, 4, P_FA_GRID)
+        b = monte_carlo_roc(esd, other, 20000, 4, P_FA_GRID)
         for name in ("thresholds", "p_fa", "p_d", "p_d_analytic"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
@@ -283,7 +287,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(detection, "_draw_block", failing)
         esd, sc = _colored_case(10.0)
         with pytest.raises(RuntimeError, match="block 2 failed"):
-            monte_carlo_roc(esd, sc, 4 * detection._BLOCK_TRIALS, 0)
+            monte_carlo_roc(esd, sc, 4 * detection._BLOCK_TRIALS, 0, P_FA_GRID)
 
     @pytest.mark.parametrize("cpus, trials", [
         (1, 3 * detection._BLOCK_TRIALS),
@@ -304,7 +308,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(detection, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(detection, "_draw_block", recording)
         esd, sc = _colored_case(10.0)
-        assert monte_carlo_roc(esd, sc, trials, 0).trials == trials
+        assert monte_carlo_roc(esd, sc, trials, 0, P_FA_GRID).trials == trials
         assert sorted(drawn) == list(range(-(-trials // detection._BLOCK_TRIALS)))
 
     @pytest.mark.parametrize("band_width", [10.0, 100.0])
@@ -329,7 +333,7 @@ class TestMonteCarlo:
         assert sc.grid.num_bins == 101
         tracemalloc.start()
         try:
-            monte_carlo_roc(esd, sc, 20000, 0)
+            monte_carlo_roc(esd, sc, 20000, 0, P_FA_GRID)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,16 +354,16 @@ class TestMonteCarlo:
         grid = make_grid(8.0, 1.0)
         sc = _flat_scenario(grid)
         esd = SpectralDensity(grid, np.ones(grid.num_bins))
-        a = monte_carlo_roc(esd, sc, 2000, 9)
-        b = monte_carlo_roc(esd, sc, 2000, 9)
+        a = monte_carlo_roc(esd, sc, 2000, 9, P_FA_GRID)
+        b = monte_carlo_roc(esd, sc, 2000, 9, P_FA_GRID)
         np.testing.assert_array_equal(a.p_d, b.p_d)
         np.testing.assert_array_equal(a.thresholds, b.thresholds)
 
     def test_stronger_target_detects_more(self):
         grid = make_grid(8.0, 1.0)
         esd = SpectralDensity(grid, np.ones(grid.num_bins))
-        weak = monte_carlo_roc(esd, _flat_scenario(grid, var_a=0.5), 20000, 4)
-        strong = monte_carlo_roc(esd, _flat_scenario(grid, var_a=4.0), 20000, 4)
+        weak = monte_carlo_roc(esd, _flat_scenario(grid, var_a=0.5), 20000, 4, P_FA_GRID)
+        strong = monte_carlo_roc(esd, _flat_scenario(grid, var_a=4.0), 20000, 4, P_FA_GRID)
         assert np.all(strong.p_d >= weak.p_d)
 
     def test_matches_analytic_roc_with_clutter(self):

@@ -1,10 +1,13 @@
 """``tools/diff_outputs.py`` finds a one-ulp change and names its file and
-column or key. The comparison is tested on small trees written here; the
-tool's CLI runs are left to its own use. It is loaded by path without
-writing bytecode next to it."""
+column or key, and runs the change side on one CPU. The comparison is
+tested on small trees written here, and the CPUs of each side with a
+probe in place of the CLI; the tool's CLI runs are left to its own use.
+It is loaded by path without writing bytecode next to it."""
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +76,25 @@ def test_missing_file_and_text_cells(tool, tmp_path):
     assert files["fit/fit_E2.csv"]["keys"] == {
         "status": {"changed": 1, "max_abs": None, "max_rel": None}
     }
+
+
+def test_change_side_runs_on_one_cpu(tool, tmp_path, monkeypatch):
+    # each side runs one command, swapped for a probe that prints the size
+    # of its affinity mask, so its stdout log depends on the CPU count
+    run, seen = subprocess.run, {}
+
+    def probe(argv, *, cwd, **kwargs):
+        code = "import os; print(len(os.sched_getaffinity(0)))"
+        proc = run([sys.executable, "-c", code], cwd=cwd, **kwargs)
+        seen[Path(cwd).name] = int(proc.stdout)
+        return proc
+
+    monkeypatch.setattr(tool, "matrix", lambda checkout, root: [("design",)])
+    monkeypatch.setattr(tool.subprocess, "run", probe)
+    out = tmp_path / "diff.json"
+    status = tool.main(["--parent", str(ROOT), "--change", str(ROOT), "--out", str(out)])
+    cpus = len(os.sched_getaffinity(0))
+    assert seen == {"parent": cpus, "change": 1}
+    files = json.loads(out.read_text())["files"]
+    assert (status, files["out/log/00-design.stdout"]["status"]) == (
+        (0, "identical") if cpus == 1 else (1, "differs"))

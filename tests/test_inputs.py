@@ -15,7 +15,6 @@ from miwave import (
     SpectralDensity,
     analytic_roc,
     build_parametric_psd,
-    esd_for_lambda,
     esd_on_grid,
     fit,
     lfm_esd,
@@ -82,16 +81,15 @@ CASES = [
     ("match_rms_bandwidth", "energy",
      lambda x: match_rms_bandwidth(10.0, 1.0, x, GRID)),
     ("OfdmTarget", "energy", lambda x: OfdmTarget(np.ones(3) / np.sqrt(3), x)),
-    ("esd_for_lambda", "lam", lambda x: esd_for_lambda(SCENE, x)),
     ("analytic_roc", "d_squared", lambda x: analytic_roc(x, [0.1])),
     ("fit", "k_harmonics", lambda x: fit(TARGET, x, 0.2, 1, 0, scenario=SCENE)),
     ("fit", "delta", lambda x: fit(TARGET, 2, x, 1, 0, scenario=SCENE)),
     ("fit", "n_starts", lambda x: fit(TARGET, 2, 0.2, x, 0, scenario=SCENE)),
     ("fit", "seed", lambda x: fit(TARGET, 2, 0.2, 1, x, scenario=SCENE)),
     ("monte_carlo_roc", "trials",
-     lambda x: monte_carlo_roc(FLAT, SCENE, x, 0)),
+     lambda x: monte_carlo_roc(FLAT, SCENE, x, 0, (0.1,))),
     ("monte_carlo_roc", "seed",
-     lambda x: monte_carlo_roc(FLAT, SCENE, 2000, x)),
+     lambda x: monte_carlo_roc(FLAT, SCENE, 2000, x, (0.1,))),
     ("monte_carlo_roc", "p_fa_grid",
      lambda x: monte_carlo_roc(FLAT, SCENE, 2000, 0, [x])),
 ]

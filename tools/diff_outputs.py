@@ -8,7 +8,10 @@ DIR is a checkout holding ``src/``, ``configs/`` and ``bench/workloads.py``.
 Each side runs ``python -m miwave.cli`` with that checkout's ``src`` in its
 own temporary root, with the same relative ``--config`` and ``--out``
 strings on both sides (the config hash in ``summary.json`` covers
-``out_dir``). The matrix is:
+``out_dir``). The parent side's commands may use every CPU this process
+may use; the change side's run on one of them, so an output that depends
+on the CPU count differs, and with ``--parent . --change .`` the tool
+checks that none does. The matrix is:
 
 - ``design``, ``fit --starts 6`` and ``roc --trials 20000`` on both shipped
   configs;
@@ -103,17 +106,20 @@ def matrix(checkout: Path, root: Path) -> list:
     return calls + _bench_jobs(checkout, root) + [("report", REPORTED)]
 
 
-def run_side(checkout: Path, root: Path) -> list:
-    """Run the matrix in ``root``; returns each call's argv and exit code."""
+def run_side(checkout: Path, root: Path, cpus=None) -> list:
+    """Run the matrix in ``root``, each call on the set of CPU numbers
+    ``cpus``, or on this process's CPUs when None; returns each call's
+    argv and exit code."""
     (root / "configs").mkdir(parents=True)
     logs = root / "out" / "log"
     logs.mkdir(parents=True)
     src = str(checkout.resolve() / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     runs = []
     for i, argv in enumerate(matrix(checkout, root)):
         proc = subprocess.run([sys.executable, "-m", "miwave.cli", *argv], cwd=root,
-                              env=env, capture_output=True, text=True)
+                              env=env, capture_output=True, text=True, preexec_fn=pin)
         # report prints JSON, so its keys are tallied like summary.json's
         out_suffix = ".json" if argv[0] == "report" else ".stdout"
         (logs / f"{i:02d}-{argv[0]}{out_suffix}").write_text(proc.stdout)
@@ -219,7 +225,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: Path(tmp) / side for side in ("parent", "change")}
-        runs = {side: run_side(getattr(args, side), roots[side]) for side in roots}
+        cpus = {"parent": None, "change": {min(os.sched_getaffinity(0))}}
+        runs = {side: run_side(getattr(args, side), roots[side], cpus[side]) for side in roots}
         files = compare_trees(roots["parent"], roots["change"])
 
     commands = [
