@@ -9,7 +9,6 @@ waveform against the ideal design and an RMS-bandwidth-matched chirp.
 import numpy as np
 
 from miwave import (
-    MtsfmWaveform,
     Scenario,
     build_parametric_psd,
     design_mi,
@@ -44,10 +43,9 @@ best = results[0]
 print(f"best fit:     d^2 = {best.d_squared_achieved:.4f} "
       f"({100 * best.d_squared_achieved / d2_ideal:.1f}% of ideal)")
 print("best modulation indices:")
-print("  " + "  ".join(f"b{k + 1}={b:+.3f}" for k, b in enumerate(best.beta)))
+wave = best.waveform  # the waveform fit() scored
+print("  " + "  ".join(f"b{k + 1}={b:+.3f}" for k, b in enumerate(wave.mod_indices)))
 
-# the waveform fit() scored: the grid's duration at the target's energy
-wave = MtsfmWaveform(grid.duration, target.energy, best.beta)
 mtsfm_esd = esd_on_grid(wave, grid)
 assert detection_metric(mtsfm_esd, scenario) == best.d_squared_achieved
 print(f"fit ESD captures {integrate(mtsfm_esd) / scenario.energy:.4f} "

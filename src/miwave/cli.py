@@ -113,7 +113,8 @@ def main(argv=None) -> int:
             run_experiment(config, design_only=design_only)
             path = Path(config.out_dir) / ("esd_table.csv" if design_only else "summary.json")
         print(f"wrote {path}")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
+        # a count too large to allocate for fails before anything is written
         print(f"config error: {_describe(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

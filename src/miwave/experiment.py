@@ -26,7 +26,7 @@ from .baselines import match_rms_bandwidth, lfm_esd
 from .design import design_mi
 from .detection import check_roc_params, detection_metric, monte_carlo_roc
 from .fitting import check_fit_params, fit, solve_ofdm_coeffs, support_halfwidth
-from .mtsfm import MtsfmWaveform, esd_on_grid, rms_bandwidth
+from .mtsfm import esd_on_grid, rms_bandwidth
 from .spectral import Scenario, build_parametric_psd, finite_positive, finite_real, make_grid
 
 __all__ = [
@@ -231,11 +231,10 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
         )
         fits[energy] = results
         best = results[0]
-        best_wave = MtsfmWaveform(config.duration, target.energy, best.beta)
-        mtsfm_esds[energy] = esd_on_grid(best_wave, grid)
+        mtsfm_esds[energy] = esd_on_grid(best.waveform, grid)
         record["d2_box"] = summarize_boxplot([r.d_squared_achieved for r in results])
         record["best_start_index"] = best.start_index
-        record["best_beta"] = list(best.beta)
+        record["best_beta"] = list(best.waveform.mod_indices)
         record["best_d2"] = best.d_squared_achieved
         record["best_objective"] = best.objective
 

@@ -89,10 +89,11 @@ class OfdmTarget:
 
 @dataclass(frozen=True)
 class FitResult:
-    """One start's fit: its indices, its objective and ``status`` from the
-    engine, and ``d_squared_achieved``, the start's d² in the fit's scene."""
+    """One start's fit: the ``waveform`` it scored, at the scene's duration
+    and the target's energy, its objective and ``status`` from the engine,
+    and ``d_squared_achieved``, the waveform's d² in the fit's scene."""
 
-    beta: tuple
+    waveform: MtsfmWaveform
     objective: float
     d_squared_achieved: float
     status: str
@@ -100,8 +101,9 @@ class FitResult:
 
     @property
     def constraint_value(self) -> float:
-        """sum_k k*beta_k: where ``beta`` sits in the support slab."""
-        return float(np.arange(1.0, len(self.beta) + 1) @ np.array(self.beta))
+        """sum_k k*beta_k: where the waveform's indices sit in the support slab."""
+        beta = self.waveform.mod_indices
+        return float(np.arange(1.0, len(beta) + 1) @ np.array(beta))
 
     @property
     def converged(self) -> bool:
@@ -377,7 +379,8 @@ def fit(
     ``STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT``, and
     ``LINE_SEARCH_FAILED``, which starts with ``ABNORMAL: ``;
     ``converged`` is true exactly for the two ``CONVERGENCE: `` ones. Each
-    result's detection metric is evaluated on the ``scenario`` grid and
+    result's ``waveform`` has the ``scenario`` grid's duration and the
+    target's energy, its detection metric is evaluated on that grid, and
     the list is sorted by it, best first, ties to the lower start index.
     """
     k_harmonics, delta, n_starts, seed = check_fit_params(
@@ -403,19 +406,16 @@ def fit(
         # to count or time evaluations
         lambda beta: objective_and_gradient(beta, target, order_bound),
     )
-    betas = _rows_times(xs, h)
-
+    # each start's best search; argmin keeps the earliest of equal objectives
+    best = f_vals.reshape(n_starts, LOCAL_SEARCHES).argmin(1)
+    best += np.arange(n_starts) * LOCAL_SEARCHES
     results: list[FitResult] = []
-    for i in range(n_starts):
-        first = i * LOCAL_SEARCHES
-        # argmin keeps the earliest of equal objectives
-        j = first + int(np.argmin(f_vals[first : first + LOCAL_SEARCHES]))
-        beta = betas[j]
+    for i, (j, beta) in enumerate(zip(best.tolist(), _rows_times(xs[best], h))):
         w = MtsfmWaveform(scenario.grid.duration, target.energy, tuple(beta))
         esd = mtsfm.esd_on_grid(w, scenario.grid)
         results.append(
             FitResult(
-                beta=tuple(float(b) for b in beta),
+                waveform=w,
                 objective=float(f_vals[j]),
                 d_squared_achieved=detection_metric(esd, scenario),
                 status=statuses[j],

@@ -9,6 +9,7 @@ from scipy.special import fresnel
 from miwave import (
     LfmWaveform,
     MtsfmWaveform,
+    SpectralDensity,
     design_mi,
     detection_metric,
     esd_on_grid,
@@ -156,6 +157,30 @@ class TestMatchRmsBandwidth:
             w = match_rms_bandwidth(1e4, 1.0, 1.0, grid)
         assert w.sweep_bandwidth == grid.band_width
         assert seen == [grid.band_width]
+
+    @pytest.mark.parametrize("frac", [0.02, 0.2, 0.5, 0.8])
+    def test_convex_residual_halves_the_upper_end(self, monkeypatch, frac):
+        # a share (B/W)^4 of E on the outermost bins and the rest at DC give
+        # an RMS bandwidth of frac times the edges' at B = W*sqrt(frac); the
+        # residual is convex, so regula falsi keeps the upper end, and only
+        # the Illinois halving of its residual keeps the steps superlinear
+        grid = make_grid(10.0, 1.0)
+        seen = []
+
+        def edges(w, grid):
+            seen.append(w.sweep_bandwidth)
+            share = (w.sweep_bandwidth / grid.band_width) ** 4
+            values = np.zeros(grid.num_bins)
+            values[[0, -1]] = share * w.energy * w.duration / 2.0
+            values[grid.num_bins // 2] = (1.0 - share) * w.energy * w.duration
+            return SpectralDensity(grid, values)
+
+        monkeypatch.setattr(baselines, "lfm_esd", edges)
+        edge_rms = 2.0 * np.pi * grid.bin_freqs[-1]
+        w = match_rms_bandwidth(frac * edge_rms, 1.0, 1.0, grid)
+        assert w.sweep_bandwidth == pytest.approx(grid.band_width * np.sqrt(frac), rel=1e-4)
+        # without the halving, 0.02 takes 33 spectra and 0.2 takes 11
+        assert len(seen) <= 10
 
     def test_mi_design_round_trip(self, notch_scenario):
         design = design_mi(notch_scenario.with_energy(1.0))

@@ -1,3 +1,4 @@
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -123,9 +124,8 @@ def _full_array_roc(esd, scenario, trials, seed, p_fa_grid):
     stat0 = np.abs(x0 @ weight) ** 2
     stat1 = np.abs(x1 @ weight) ** 2
     thresholds = np.quantile(stat0, 1.0 - np.asarray(p_fa_grid))
-    p_fa = np.mean(stat0[:, None] > thresholds, axis=0)
     p_d = np.mean(stat1[:, None] > thresholds, axis=0)
-    return thresholds, p_fa, p_d
+    return thresholds, p_d
 
 
 def _colored_case(band_width, duration=1.0, sparse=False):
@@ -215,8 +215,7 @@ class TestMonteCarlo:
             trials = 2 * detection._BLOCK_TRIALS
         p_fa_grid = (0.001, 0.01, 0.1, 0.5)
         mc = monte_carlo_roc(esd, sc, trials, seed, p_fa_grid)
-        thresholds, p_fa, p_d = _full_array_roc(esd, sc, trials, seed, p_fa_grid)
-        np.testing.assert_array_equal(mc.p_fa, p_fa)
+        thresholds, p_d = _full_array_roc(esd, sc, trials, seed, p_fa_grid)
         np.testing.assert_array_equal(mc.p_d, p_d)
         np.testing.assert_allclose(mc.thresholds, thresholds, rtol=1e-12, atol=0)
 
@@ -237,7 +236,6 @@ class TestMonteCarlo:
             sys.setswitchinterval(interval)
         one, three = runs
         np.testing.assert_array_equal(one.thresholds, three.thresholds)
-        np.testing.assert_array_equal(one.p_fa, three.p_fa)
         np.testing.assert_array_equal(one.p_d, three.p_d)
 
     @pytest.mark.parametrize("active", [0, 1])
@@ -250,12 +248,11 @@ class TestMonteCarlo:
         esd = SpectralDensity(sc.grid, values)
         p_fa_grid = (0.001, 0.01, 0.1, 0.5)
         mc = monte_carlo_roc(esd, sc, 20000, 2, p_fa_grid)
-        thresholds, p_fa, p_d = _full_array_roc(esd, sc, 20000, 2, p_fa_grid)
-        np.testing.assert_array_equal(mc.p_fa, p_fa)
+        thresholds, p_d = _full_array_roc(esd, sc, 20000, 2, p_fa_grid)
         np.testing.assert_array_equal(mc.p_d, p_d)
         np.testing.assert_allclose(mc.thresholds, thresholds, rtol=1e-12, atol=0)
         if not active:
-            for column in (mc.thresholds, mc.p_fa, mc.p_d):
+            for column in (mc.thresholds, mc.p_d):
                 assert column.tolist() == [0.0] * len(p_fa_grid)
 
     def test_empty_bins_interference_is_never_read(self):
@@ -272,8 +269,20 @@ class TestMonteCarlo:
                          sc.target_variance, sc.energy)
         a = monte_carlo_roc(esd, sc, 20000, 4, P_FA_GRID)
         b = monte_carlo_roc(esd, other, 20000, 4, P_FA_GRID)
-        for name in ("thresholds", "p_fa", "p_d", "p_d_analytic"):
+        for name in ("thresholds", "p_d", "p_d_analytic"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_cpu_count_where_no_affinity_mask(self, monkeypatch):
+        # a platform without sched_getaffinity counts its CPUs instead, and
+        # the ROC does not depend on the count
+        esd, sc = _colored_case(10.0)
+        trials = 3 * detection._BLOCK_TRIALS + 1001
+        masked = monte_carlo_roc(esd, sc, trials, 5, P_FA_GRID)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert detection._usable_cpus() == (os.cpu_count() or 1)
+        counted = monte_carlo_roc(esd, sc, trials, 5, P_FA_GRID)
+        for name in ("thresholds", "p_d", "p_d_stderr", "p_d_analytic"):
+            assert getattr(masked, name).tobytes() == getattr(counted, name).tobytes(), name
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         draw_block = detection._draw_block
@@ -346,7 +355,7 @@ class TestMonteCarlo:
         sc = _flat_scenario(grid, var_a=0.0)
         esd = SpectralDensity(grid, np.full(grid.num_bins, 1.0 / grid.num_bins))
         mc = monte_carlo_roc(esd, sc, 20000, 3, p_fa_grid=(0.05, 0.2))
-        for p_fa, p_d in zip(mc.p_fa, mc.p_d):
+        for p_fa, p_d in zip((0.05, 0.2), mc.p_d):
             se = np.sqrt(p_fa * (1 - p_fa) / mc.trials)
             assert abs(p_d - p_fa) <= 3 * se + 1e-12
 

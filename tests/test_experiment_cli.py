@@ -135,6 +135,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="p_fa_grid"):
             smoke_config(tmp_path, p_fa_grid=p_fa_grid)
 
+    def test_one_expected_false_alarm_is_accepted(self, tmp_path):
+        # the boundary of the p_fa_grid rule: p_fa*trials = 1 runs
+        cfg = smoke_config(tmp_path / "out", trials=1000, p_fa_grid=(0.001, 0.1))
+        rows = [[float(v) for v in line.split(",")]
+                for line in run_roc(cfg).read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == [0.001, 0.1]
+        assert np.all(np.isfinite(rows))
+
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_rejects_negative_seed(self, tmp_path, seed):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -150,6 +158,7 @@ class TestConfig:
             ("delta", -0.2, "delta must lie in"),
             ("trials", 999, "trials must be >= 1000"),
             ("trials", 0, "trials must be >= 1000"),
+            ("p_fa_grid", (4.9e-4, 0.1), "p_fa_grid times trials must be at least 1"),
         ],
     )
     def test_rejects_out_of_range_fit_and_roc_fields(
@@ -165,6 +174,7 @@ class TestConfig:
             ("delta", float("nan")), ("n_starts", 0), ("n_starts", 2.5),
             ("trials", 999), ("trials", 1e5), ("p_fa_grid", ()),
             ("p_fa_grid", (float("nan"),)), ("p_fa_grid", (0.1, 1.0)),
+            ("p_fa_grid", (1e-10, 0.1)),
         ],
     )
     def test_config_and_library_refuse_alike(self, tmp_path, field, value):
@@ -547,6 +557,14 @@ class TestCli:
             (["design"], "clutter_params", "5", "clutter_params must be a mapping"),
             (["design"], "clutter_params", "[1, 2]", "clutter_params must be a mapping"),
             (["design"], "band_width", str(10**400), "band_width must be finite"),
+            # below one expected false alarm the threshold is the sample maximum
+            (["roc"], "p_fa_grid", "[1.0e-10, 0.1]", "p_fa_grid times trials must be at least 1"),
+            (["roc"], "p_fa_grid", "[1.0e-200]", "p_fa_grid times trials must be at least 1"),
+            (["roc", "--trials", "1000"], "p_fa_grid", "[0.0009]",
+             "p_fa_grid times trials must be at least 1"),
+            # counts past any address space: the first array fails at once
+            (["roc", "--trials", str(10**14)], None, None, "config error: Unable to allocate"),
+            (["fit"], "k_harmonics", str(10**14), "config error: Unable to allocate"),
         ],
         ids=[
             "seed-flag", "seed-key", "repeated-energy", "energies-print-alike",
@@ -554,7 +572,8 @@ class TestCli:
             "k0-design", "k0-fit", "k0-roc", "delta-design", "delta-fit",
             "trials-design", "trials-roc", "trials-flag", "yaml-syntax",
             "noise_params-int", "noise_params-list", "clutter_params-int",
-            "clutter_params-list", "band_width-past-float",
+            "clutter_params-list", "band_width-past-float", "p_fa-1e-10", "p_fa-1e-200",
+            "p_fa-trials-flag", "roc-trials-past-memory", "fit-k-past-memory",
         ],
     )
     def test_config_value_errors_write_nothing(

@@ -340,7 +340,8 @@ class TestFit:
         hi = (1.0 + 0.9) * support_halfwidth(tgt)
         order_bound = max(tgt.half_order, int(np.ceil(hi)) + 16)
         for r in results:
-            f_val = objective_and_gradient(np.array([r.beta]), tgt, order_bound)[0]
+            beta = np.array([r.waveform.mod_indices])
+            f_val = objective_and_gradient(beta, tgt, order_bound)[0]
             assert r.objective == f_val[0]
 
     @pytest.mark.parametrize("name", ["clutter_notch", "clutter_peak"])
@@ -498,6 +499,10 @@ class TestFit:
         results = fit(tgt, 4, 0.2, 10, 2, scenario=notch_scenario)
         for r in results:
             assert r.d_squared_achieved <= d2_star + 1e-9
+            # each result carries the waveform it was scored as
+            assert (r.waveform.duration, r.waveform.energy) == (grid.duration, tgt.energy)
+            esd = mtsfm.esd_on_grid(r.waveform, grid)
+            assert r.d_squared_achieved == detection_metric(esd, notch_scenario)
 
     @pytest.mark.parametrize("k_harm", [1, 2])
     def test_sorted_by_d2_ties_to_the_lower_start(self, k_harm, notch_scenario):
