@@ -52,7 +52,7 @@ print(f"fit ESD captures {integrate(mtsfm_esd) / scenario.energy:.4f} "
       "of the energy in band")
 
 beta_rms = rms_bandwidth(design.esd, scenario.energy)
-chirp = match_rms_bandwidth(beta_rms, 1.0, scenario.energy, grid)
+(chirp,) = match_rms_bandwidth([beta_rms], 1.0, [scenario.energy], grid)
 chirp_esd = lfm_esd(chirp, grid)
 print(f"chirp ESD captures {integrate(chirp_esd) / scenario.energy:.4f} "
       "of the energy in band")

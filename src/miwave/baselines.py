@@ -65,16 +65,22 @@ def lfm_esd(w: LfmWaveform, grid: FrequencyGrid) -> SpectralDensity:
 
 
 def match_rms_bandwidth(
-    target_beta_rms: float,
+    targets,
     duration: float,
-    energy: float,
+    energies,
     grid: FrequencyGrid,
-) -> LfmWaveform:
-    """Find the sweep bandwidth whose chirp ESD has a given RMS bandwidth.
+) -> tuple[LfmWaveform, ...]:
+    """Find, for each (target, energy) pair in order, the sweep bandwidth
+    whose chirp ESD at that energy has the target RMS bandwidth.
 
-    Scalar root-find over B, bracketed by the whole band [0, W]. The
-    lower end costs no chirp spectrum: the B = 0 chirp is a DC tone of
-    RMS bandwidth 0. The upper end costs one, the full-band sweep's.
+    Scalar root-find over B per pair, bracketed by the whole band [0, W].
+    The lower end costs no chirp spectrum: the B = 0 chirp is a DC tone
+    of RMS bandwidth 0. The upper end costs one per call, not one per
+    pair: the full-band sweep's |c_m|^2 does not depend on the energy,
+    so it is computed on the first nonzero target and scaled by each
+    energy's E*T, and nothing is kept once the call returns. A target
+    of 0 gives B = 0 without a spectrum. Targets and energies of unequal
+    lengths raise ``ValueError`` before any spectrum is computed.
     Targets above the RMS bandwidth of the full-band sweep's in-band
     ESD are unreachable (the chirp's soft spectral edges cap the second
     moment); they clamp to the full-band sweep B = W with a warning.
@@ -83,27 +89,50 @@ def match_rms_bandwidth(
     Jarratt, BIT 1971), safeguarded regula falsi, until a step is at
     most (2e-12 + 1e-4*B)/2: a relative tolerance of 1e-4 in B.
     """
-    if finite_nonnegative("target_beta_rms", target_beta_rms) == 0:
-        return LfmWaveform(duration, energy, 0.0)
+    targets, energies = tuple(targets), tuple(energies)
+    if len(targets) != len(energies):
+        raise ValueError(
+            "targets and energies must be of equal length, got lengths "
+            f"{len(targets)} and {len(energies)}"
+        )
+    power = None  # the full-band chirp's |c_m|^2, on first need
+    matched = []
+    for target, energy in zip(targets, energies):
+        if finite_nonnegative("target_beta_rms", target) == 0:
+            matched.append(LfmWaveform(duration, energy, 0.0))
+            continue
+        full = LfmWaveform(duration, energy, grid.band_width)
+        scale = _esd_scale(full, grid)
+        if power is None:
+            power = _chirp_power(duration, grid.band_width, grid)
+        r_max = rms_bandwidth(SpectralDensity(grid, scale * power), energy) - target
+        matched.append(_match_one(target, duration, energy, grid, r_max))
+    return tuple(matched)
+
+
+def _match_one(
+    target: float, duration: float, energy: float, grid: FrequencyGrid, r_max: float,
+) -> LfmWaveform:
+    """The Illinois root-find of :func:`match_rms_bandwidth` for one pair,
+    given the residual ``r_max`` of its full-band sweep."""
 
     def resid(b: float) -> float:
         esd = lfm_esd(LfmWaveform(duration, energy, b), grid)
-        return rms_bandwidth(esd, energy) - target_beta_rms
+        return rms_bandwidth(esd, energy) - target
 
     b_max = grid.band_width
-    r_max = resid(b_max)
     if r_max < 0:
         # no source file or line: the message alone reaches stderr, which
         # then does not depend on where the caller sits in its file
         warnings.warn_explicit(
-            f"RMS-bandwidth target {target_beta_rms:.4g} rad/s unreachable; "
+            f"RMS-bandwidth target {target:.4g} rad/s unreachable; "
             "clamping the comparator to a full-band sweep",
             UserWarning, "miwave", 0, module=__name__,
         )
         return LfmWaveform(duration, energy, float(b_max))
     # residuals below the root are negative, so lo keeps f_lo < 0 <= f_hi
-    lo, f_lo, hi, f_hi = 0.0, -target_beta_rms, float(b_max), r_max
-    b = min(math.sqrt(12.0) * target_beta_rms / (2.0 * math.pi), hi)
+    lo, f_lo, hi, f_hi = 0.0, -target, float(b_max), r_max
+    b = min(math.sqrt(12.0) * target / (2.0 * math.pi), hi)
     kept = 0  # the end the last step kept: -1 for lo, 1 for hi
     for _ in range(100):
         r = resid(b)

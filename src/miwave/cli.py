@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     try:
-        config = dataclasses.replace(load_config(args.config), **overrides)
+        config = load_config(args.config, **overrides)
     except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,10 +1,11 @@
 """Experiment harness: full design -> fit -> baseline -> report pipeline.
 
 A config names the scene (parametric PSDs, band, duration, target
-variance), an energy sweep, and the fit/Monte-Carlo parameters. For each
-energy the pipeline water-fills the matched-illumination ESD, samples
-its magnitude for the target coefficients, runs the multistart MTSFM
-fit, matches an LFM comparator in RMS bandwidth, and records detection
+variance), an energy sweep, and the fit/Monte-Carlo parameters. The
+pipeline water-fills the matched-illumination ESD of every energy and
+matches the sweep's LFM comparators in RMS bandwidth in one call; then,
+for each energy, it samples the ESD's magnitude for the target
+coefficients, runs the multistart MTSFM fit and records detection
 metrics. All outputs are plain CSV/JSON with deterministic formatting so
 a rerun with the same config and seed is byte-identical.
 """
@@ -113,7 +114,10 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """The config of the YAML mapping at ``path``, with ``overrides`` in
+    place of its keys before any field is checked, so an override can
+    mend a bad value in the file and every error names the value used."""
     # libyaml's safe loader where PyYAML was built with it: the same
     # mapping from a config, in about a seventh of the time
     loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -124,7 +128,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValueError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must be a mapping")
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict({**data, **overrides})
 
 
 def summarize_boxplot(d2_samples) -> dict:
@@ -190,25 +194,29 @@ def run_experiment(config: ExperimentConfig, *, design_only: bool = False) -> tu
     Returns one record dict per energy, as written to ``summary.json``;
     only a fit adds ``d2_box``, ``best_start_index``, ``best_beta``,
     ``best_d2`` and ``best_objective``, of the start in the first row of
-    ``fit_E*.csv``. Nothing is written unless every energy runs.
+    ``fit_E*.csv``. Every energy is designed before the first fit, so a
+    design error at any energy raises before any fit runs. Nothing is
+    written unless every energy runs.
     """
     scene = config.scenario(config.energy_list[0])
     grid = scene.grid
+
+    scenarios = [scene.with_energy(energy) for energy in config.energy_list]
+    designs = [_design(config, scenario) for scenario in scenarios]
+    lfms = match_rms_bandwidth(
+        [rms_bandwidth(d.esd, e) for d, e in zip(designs, config.energy_list)],
+        config.duration, config.energy_list, grid,
+    )
 
     records = []
     mi_esds: dict = {}
     mtsfm_esds: dict = {}
     fits: dict = {}
-    for energy in config.energy_list:
-        scenario = scene.with_energy(energy)
-        design = _design(config, scenario)
+    for energy, scenario, design, lfm in zip(config.energy_list, scenarios, designs, lfms):
         mi_esds[energy] = design.esd
         d2_mi = detection_metric(design.esd, scenario)
         target = solve_ofdm_coeffs(design.esd, grid, design.achieved_energy)
         kappa = support_halfwidth(target)
-
-        beta_rms = rms_bandwidth(design.esd, energy)
-        lfm = match_rms_bandwidth(beta_rms, config.duration, energy, grid)
         record = {
             "energy": energy,
             "lambda": design.lagrange_lambda,

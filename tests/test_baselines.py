@@ -113,15 +113,17 @@ class TestLfmEsd:
 
 
 def _spectra(monkeypatch):
-    """Sweep bandwidths of the chirp spectra ``match_rms_bandwidth``
-    evaluates, recorded through the module global it looks up."""
+    """Sweep bandwidths of the chirp spectra computed from here on, the
+    bracket top of ``match_rms_bandwidth`` among them, recorded through
+    the module global ``_chirp_power`` that it and ``lfm_esd`` look up."""
     seen = []
+    chirp_power = baselines._chirp_power
 
-    def recorded(w, grid):
-        seen.append(w.sweep_bandwidth)
-        return lfm_esd(w, grid)
+    def recorded(duration, sweep_bandwidth, grid):
+        seen.append(sweep_bandwidth)
+        return chirp_power(duration, sweep_bandwidth, grid)
 
-    monkeypatch.setattr(baselines, "lfm_esd", recorded)
+    monkeypatch.setattr(baselines, "_chirp_power", recorded)
     return seen
 
 
@@ -129,7 +131,7 @@ class TestMatchRmsBandwidth:
     def test_zero_target(self, monkeypatch):
         grid = make_grid(10.0, 1.0)
         seen = _spectra(monkeypatch)
-        w = match_rms_bandwidth(0.0, 1.0, 1.0, grid)
+        (w,) = match_rms_bandwidth([0.0], 1.0, [1.0], grid)
         assert w.sweep_bandwidth == 0.0
         assert seen == []
 
@@ -137,7 +139,7 @@ class TestMatchRmsBandwidth:
         grid = make_grid(40.0, 1.0)
         for b in (5.0, 12.0, 25.0):
             target = rms_bandwidth(lfm_esd(LfmWaveform(1.0, 1.0, b), grid), 1.0)
-            w = match_rms_bandwidth(target, 1.0, 1.0, grid)
+            (w,) = match_rms_bandwidth([target], 1.0, [1.0], grid)
             got = rms_bandwidth(lfm_esd(w, grid), 1.0)
             assert got == pytest.approx(target, rel=1e-3)
 
@@ -145,7 +147,7 @@ class TestMatchRmsBandwidth:
         # B ~ sqrt(12)*beta_rms/(2*pi) for a roughly flat in-band ESD
         grid = make_grid(60.0, 1.0)
         target = rms_bandwidth(lfm_esd(LfmWaveform(1.0, 1.0, 40.0), grid), 1.0)
-        w = match_rms_bandwidth(target, 1.0, 1.0, grid)
+        (w,) = match_rms_bandwidth([target], 1.0, [1.0], grid)
         assert w.sweep_bandwidth == pytest.approx(
             np.sqrt(12.0) * target / (2 * np.pi), rel=0.1
         )
@@ -154,7 +156,7 @@ class TestMatchRmsBandwidth:
         grid = make_grid(10.0, 1.0)
         seen = _spectra(monkeypatch)
         with pytest.warns(UserWarning, match="clamping"):
-            w = match_rms_bandwidth(1e4, 1.0, 1.0, grid)
+            (w,) = match_rms_bandwidth([1e4], 1.0, [1.0], grid)
         assert w.sweep_bandwidth == grid.band_width
         assert seen == [grid.band_width]
 
@@ -164,29 +166,73 @@ class TestMatchRmsBandwidth:
         # an RMS bandwidth of frac times the edges' at B = W*sqrt(frac); the
         # residual is convex, so regula falsi keeps the upper end, and only
         # the Illinois halving of its residual keeps the steps superlinear
+        # planted as the power |c_m|^2, the ESD divided by E*T, which both
+        # the bracket top and lfm_esd scale back by E*T
         grid = make_grid(10.0, 1.0)
         seen = []
 
-        def edges(w, grid):
-            seen.append(w.sweep_bandwidth)
-            share = (w.sweep_bandwidth / grid.band_width) ** 4
-            values = np.zeros(grid.num_bins)
-            values[[0, -1]] = share * w.energy * w.duration / 2.0
-            values[grid.num_bins // 2] = (1.0 - share) * w.energy * w.duration
-            return SpectralDensity(grid, values)
+        def edges(duration, sweep_bandwidth, grid):
+            seen.append(sweep_bandwidth)
+            share = (sweep_bandwidth / grid.band_width) ** 4
+            power = np.zeros(grid.num_bins)
+            power[[0, -1]] = share / 2.0
+            power[grid.num_bins // 2] = 1.0 - share
+            return power
 
-        monkeypatch.setattr(baselines, "lfm_esd", edges)
+        monkeypatch.setattr(baselines, "_chirp_power", edges)
         edge_rms = 2.0 * np.pi * grid.bin_freqs[-1]
-        w = match_rms_bandwidth(frac * edge_rms, 1.0, 1.0, grid)
+        (w,) = match_rms_bandwidth([frac * edge_rms], 1.0, [1.0], grid)
         assert w.sweep_bandwidth == pytest.approx(grid.band_width * np.sqrt(frac), rel=1e-4)
         # without the halving, 0.02 takes 33 spectra and 0.2 takes 11
         assert len(seen) <= 10
+
+    def test_sweep_equals_one_element_calls(self, monkeypatch):
+        # a zero target, two reachable ones and two that clamp (the
+        # full-band RMS bandwidth is 68.3 rad/s), at five energies: the
+        # same bits as one call per pair, from one B = W spectrum where
+        # the single calls take one each
+        grid = make_grid(40.0, 1.0)
+        targets = (30.0, 0.0, 60.0, 1e4, 70.0)
+        energies = (0.5, 1.0, 2.0, 3.0, 7.25)
+        seen = _spectra(monkeypatch)
+        with pytest.warns(UserWarning, match="clamping"):
+            singles = [match_rms_bandwidth([t], 1.0, [e], grid)[0]
+                       for t, e in zip(targets, energies)]
+        assert seen.count(grid.band_width) == 4
+        seen.clear()
+        with pytest.warns(UserWarning, match="clamping"):
+            sweep = match_rms_bandwidth(targets, 1.0, energies, grid)
+        assert seen.count(grid.band_width) == 1
+        assert isinstance(sweep, tuple) and len(sweep) == len(targets)
+        for got, want, energy in zip(sweep, singles, energies):
+            assert got.energy == energy and got.duration == 1.0
+            assert got.sweep_bandwidth.hex() == want.sweep_bandwidth.hex()
+
+    def test_all_zero_targets_compute_no_spectrum(self, monkeypatch):
+        grid = make_grid(10.0, 1.0)
+        seen = _spectra(monkeypatch)
+        ws = match_rms_bandwidth([0.0, 0.0, 0.0], 1.0, [0.5, 1.0, 2.0], grid)
+        assert [w.sweep_bandwidth for w in ws] == [0.0, 0.0, 0.0]
+        assert [w.energy for w in ws] == [0.5, 1.0, 2.0]
+        assert match_rms_bandwidth([], 1.0, [], grid) == ()
+        assert seen == []
+
+    @pytest.mark.parametrize("targets, energies", [
+        ([5.0, 10.0], [1.0]), ([5.0], [1.0, 2.0]), ([], [1.0]), ([0.0], []),
+    ])
+    def test_unequal_lengths_raise_before_any_spectrum(self, monkeypatch, targets,
+                                                        energies):
+        grid = make_grid(10.0, 1.0)
+        seen = _spectra(monkeypatch)
+        with pytest.raises(ValueError, match="^targets and energies must be of equal length"):
+            match_rms_bandwidth(targets, 1.0, energies, grid)
+        assert seen == []
 
     def test_mi_design_round_trip(self, notch_scenario):
         design = design_mi(notch_scenario.with_energy(1.0))
         target = rms_bandwidth(design.esd, 1.0)
         grid = notch_scenario.grid
-        w = match_rms_bandwidth(target, 1.0, 1.0, grid)
+        (w,) = match_rms_bandwidth([target], 1.0, [1.0], grid)
         if w.sweep_bandwidth < grid.band_width:
             got = rms_bandwidth(lfm_esd(w, grid), 1.0)
             assert got == pytest.approx(target, rel=1e-3)
@@ -197,14 +243,14 @@ class TestMatchRmsBandwidth:
             design = design_mi(sc)
             d2_star = detection_metric(design.esd, sc)
             target = rms_bandwidth(design.esd, 2.0)
-            w = match_rms_bandwidth(target, sc.grid.duration, 2.0, sc.grid)
+            (w,) = match_rms_bandwidth([target], sc.grid.duration, [2.0], sc.grid)
             d2_lfm = detection_metric(lfm_esd(w, sc.grid), sc)
             assert d2_lfm <= d2_star + 1e-9
 
 
 class TestFullBandMemo:
     """The full-band sweep B = W, which every match evaluates: computed
-    by each call, from no array another call holds."""
+    once per call, from no array another call holds."""
 
     def test_full_band_spectra_per_design_sweep(self, monkeypatch, tmp_path):
         config = dataclasses.replace(
@@ -212,25 +258,27 @@ class TestFullBandMemo:
             energy_list=tuple(float(e) for e in np.geomspace(0.25, 16.0, 16)),
             out_dir=str(tmp_path),
         )
-        full, other = [], []
-        chirp_power = baselines._chirp_power
+        steps = []
+        step_esd = baselines.lfm_esd
 
-        def counted(duration, sweep_bandwidth, grid):
-            (full if sweep_bandwidth == grid.band_width else other).append(sweep_bandwidth)
-            return chirp_power(duration, sweep_bandwidth, grid)
+        def step(w, grid):
+            steps.append(w.sweep_bandwidth)
+            return step_esd(w, grid)
 
-        monkeypatch.setattr(baselines, "_chirp_power", counted)
-        esds = _spectra(monkeypatch)
+        monkeypatch.setattr(baselines, "lfm_esd", step)
+        spectra = _spectra(monkeypatch)
         records = run_experiment(config, design_only=True)
         clamped = sum(r["lfm_sweep_bandwidth"] == config.band_width for r in records)
-        # every match evaluates B = W first, and each clamped energy's
-        # comparator ESD is the B = W one, computed again
-        assert esds.count(config.band_width) == 16
+        full = spectra.count(config.band_width)
+        # the sweep's one match computes B = W once, for every energy's
+        # bracket top, and each clamped energy's comparator ESD is the
+        # B = W one, computed again; no root-find step lands on B = W
+        assert config.band_width not in steps
         assert 0 < clamped < 16
-        assert len(full) == 16 + clamped
+        assert full == 1 + clamped
         # the other spectra: the interior root-find steps, then the
         # comparator ESD of each energy that did not clamp
-        assert len(other) == (len(esds) - 16) + (16 - clamped)
+        assert len(spectra) - full == len(steps) + (16 - clamped)
 
     @pytest.mark.parametrize("band_width, duration", [(20.0, 1.0), (20.0, 0.7), (100.0, 2.5)])
     def test_equals_uncached_computation(self, band_width, duration):
@@ -276,7 +324,7 @@ class TestBrentq:
 
         ref = brentq(resid, 0.0, grid.band_width, xtol=1e-15, rtol=1e-15)
         seen = _spectra(monkeypatch)
-        w = match_rms_bandwidth(target, duration, 1.0, grid)
+        (w,) = match_rms_bandwidth([target], duration, [1.0], grid)
         assert w.sweep_bandwidth == pytest.approx(ref, rel=1e-4)
         # the lower end f(0) = -target is closed-form: no spectrum at B = 0
         assert 0.0 not in seen

@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py`` refuses a pair count its summary cannot use
 before it runs the benchmark, summarises each side and the per-pair
-ratio of the pairs it runs, and clears each side's bytecode before every
+ratio of the pairs it runs, marks which metrics pass the claim rule,
+and clears each side's bytecode before every
 run. ``subprocess.run`` is replaced, so no benchmark runs here; both
 sides are temporary checkouts holding a copy of ``BENCHMARK.json``, and
 the tool is loaded by path without writing bytecode next to it."""
@@ -114,3 +115,36 @@ def test_every_run_starts_without_bytecode(tool, sides, tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "run", fake_run)
     assert tool.main(_argv(2, tmp_path / "bench.json", sides)) == 0
     assert started == [sides["parent"], sides["change"], sides["change"], sides["parent"]]
+
+
+# the parent reads 2.0 + 0.1*seed in pairs 0-9: median 2.45, quartiles
+# 2.225 and 2.675, so an interquartile range of 0.45
+@pytest.mark.parametrize("offsets, lower_claims, higher_claims", [
+    # 9/10 pairs lower by 1.0, one higher by 1.0: medians 1.0 apart
+    ([-1.0] * 9 + [1.0], True, False),
+    # 8/10 pairs lower by 1.0: too few wins
+    ([-1.0] * 8 + [1.0] * 2, False, False),
+    # every pair lower by 0.3: a gap inside the parent's spread
+    ([-0.3] * 10, False, False),
+    # every pair higher by 1.0: a gain where higher is better
+    ([1.0] * 10, False, True),
+], ids=["nine-wins", "eight-wins", "gap-within-iqr", "all-higher"])
+def test_claim_needs_nine_tenths_of_wins_and_a_gap_past_the_iqr(
+        tool, sides, tmp_path, monkeypatch, offsets, lower_claims, higher_claims):
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        value = 2.0 + 0.1 * seed + (offsets[seed] if cwd == sides["change"] else 0.0)
+        metrics = {name: {"value": value} for name in NAMES}
+        return subprocess.CompletedProcess(cmd, 0, stdout=_result(metrics), stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert tool.main(_argv(10, tmp_path / "bench.json", sides)) == 0
+    summary = json.loads((tmp_path / "bench.json").read_text())["roc_mc"]["summary"]
+    parent = summary["wall_s"]["parent"]
+    assert parent["median"] == pytest.approx(2.45)
+    assert parent["q3"] - parent["q1"] == pytest.approx(0.45)
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    for name in NAMES:
+        want = lower_claims if better[name] == "lower" else higher_claims
+        assert summary[name]["claim"] is want, name

@@ -589,6 +589,34 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
+    def test_a_flag_mends_the_file_it_overrides(self, tmp_path):
+        # the file alone breaks trials >= 1000; the flag applies before
+        # the check, and the run is the one of a file holding the flag's value
+        cfg, path = self._write_cfg(tmp_path)
+        good = tmp_path / "good.yaml"
+        good.write_text(path.read_text())
+        path.write_text(yaml.safe_dump({**cfg.to_dict(), "trials": 999}))
+        mended = load_config(path, trials=2000, seed=3)
+        assert mended == dataclasses.replace(load_config(good), seed=3)
+        assert mended.content_hash() == dataclasses.replace(cfg, seed=3).content_hash()
+        outs = {}
+        for name, p in (("mended", path), ("good", good)):
+            outs[name] = tmp_path / name
+            argv = ["roc", "--config", str(p), "--out", str(outs[name])]
+            assert main([*argv, "--trials", "2000"]) == EXIT_OK
+        assert (outs["mended"] / "roc.csv").read_bytes() == (outs["good"] / "roc.csv").read_bytes()
+
+    def test_a_config_error_names_the_flag_value(self, tmp_path, capsys):
+        cfg, path = self._write_cfg(tmp_path)
+        d = {**cfg.to_dict(), "trials": 100000, "p_fa_grid": [1.0e-10, 0.1]}
+        path.write_text(yaml.safe_dump(d))
+        argv = ["roc", "--config", str(path), "--trials", "2000", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "p_fa_grid times trials must be at least 1, got p_fa 1e-10 at trials 2000" in err
+        assert "100000" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
     @pytest.mark.parametrize(
         "kind, params, message",
         [

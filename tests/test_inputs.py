@@ -75,11 +75,11 @@ CASES = [
     ("LfmWaveform", "sweep_bandwidth", lambda x: LfmWaveform(1.0, 1.0, x)),
     ("lfm_esd", "sweep_bandwidth", lambda x: lfm_esd(LfmWaveform(1.0, 1.0, x), GRID)),
     ("match_rms_bandwidth", "target_beta_rms",
-     lambda x: match_rms_bandwidth(x, 1.0, 1.0, GRID)),
+     lambda x: match_rms_bandwidth([x], 1.0, [1.0], GRID)),
     ("match_rms_bandwidth", "duration",
-     lambda x: match_rms_bandwidth(10.0, x, 1.0, GRID)),
+     lambda x: match_rms_bandwidth([10.0], x, [1.0], GRID)),
     ("match_rms_bandwidth", "energy",
-     lambda x: match_rms_bandwidth(10.0, 1.0, x, GRID)),
+     lambda x: match_rms_bandwidth([10.0], 1.0, [x], GRID)),
     ("OfdmTarget", "energy", lambda x: OfdmTarget(np.ones(3) / np.sqrt(3), x)),
     ("analytic_roc", "d_squared", lambda x: analytic_roc(x, [0.1])),
     ("fit", "k_harmonics", lambda x: fit(TARGET, x, 0.2, 1, 0, scenario=SCENE)),
@@ -171,6 +171,9 @@ MISMATCHES = {
     "custom_table-repeated": (
         lambda: _table([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
         "table frequencies must be strictly increasing"),
+    "match_rms_bandwidth-lengths": (
+        lambda: match_rms_bandwidth([10.0, 20.0], 1.0, [1.0], GRID),
+        "targets and energies must be of equal length, got lengths 2 and 1"),
     "solve_ofdm_coeffs-grid": (
         lambda: solve_ofdm_coeffs(FLAT, OTHER_GRID, 1.0),
         "ESD must live on the supplied grid"),

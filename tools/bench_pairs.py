@@ -13,7 +13,10 @@ workload in ``--out`` is replaced; other workloads in it are kept. Each
 side gets median and quartiles per end-to-end metric of the change's
 ``BENCHMARK.json``; so does ``ratio``, the per-pair change/parent ratio,
 when no parent value is 0. ``wins`` counts the pairs where the change
-reads better than the parent (ties count for neither).
+reads better than the parent (ties count for neither). Each metric's
+``claim`` is true when the change wins at least ceil(0.9*pairs) pairs
+and its median is better than the parent's by more than the parent's
+interquartile range: the rule a claimed gain must pass.
 
 Before every run the tool removes each ``__pycache__`` under the
 checkout's ``src/``. The benchmark's workers write no bytecode but read
@@ -96,6 +99,11 @@ def main(argv=None) -> int:
         sign = 1.0 if better == "lower" else -1.0
         won = sum(sign * (a - b) > 0 for a, b in zip(runs["parent"], runs["change"]))
         wins[name] = f"{won}/{len(pairs)}"
+        parent, change = summary[name]["parent"], summary[name]["change"]
+        gap = sign * (parent["median"] - change["median"])
+        # -(-9n // 10) is ceil(0.9*n) in integers
+        summary[name]["claim"] = (won >= -(-9 * len(pairs) // 10)
+                                  and gap > parent["q3"] - parent["q1"])
     entry = {"command": f"bench/run.py --workload {args.workload} --seconds "
                         f"{args.seconds:g} --trace 0",
              "host": host(), "pairs": pairs, "summary": summary, "wins": wins,
