@@ -102,15 +102,9 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         return {**d, "energy_list": list(self.energy_list), "p_fa_grid": list(self.p_fa_grid)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        extra = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra, key=str)}")
-        return cls(**d)
-
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        # out_dir says where a run is written, not what it computes
+        blob = json.dumps({**self.to_dict(), "out_dir": None}, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -128,7 +122,11 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
             raise ValueError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must be a mapping")
-    return ExperimentConfig.from_dict({**data, **overrides})
+    data = {**data, **overrides}
+    extra = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    if extra:
+        raise ValueError(f"unknown config keys: {sorted(extra, key=str)}")
+    return ExperimentConfig(**data)
 
 
 def summarize_boxplot(d2_samples) -> dict:

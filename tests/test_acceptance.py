@@ -5,6 +5,7 @@ all) and asserts the criterion at its stated tolerance.
 """
 
 import csv
+import dataclasses
 import time
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from miwave import (
     OfdmTarget,
     Scenario,
     SpectralDensity,
+    analytic_roc,
     coefficients,
     design_mi,
     detection_metric,
@@ -234,60 +236,94 @@ def _fit_d2_column(path: Path) -> np.ndarray:
         return np.array([float(row["d_squared"]) for row in csv.DictReader(fh)])
 
 
-def test_criterion_8_scene_study(tmp_path):
+@pytest.fixture(scope="module")
+def shipped_runs(tmp_path_factory):
+    """``run_experiment`` on both shipped configs as shipped, each into a
+    directory of its own: ``{name: (config, records)}``, and the seconds
+    the two runs took."""
     t0 = time.perf_counter()
+    runs = {}
+    for name in ("clutter_notch", "clutter_peak"):
+        out = tmp_path_factory.mktemp(name)
+        cfg = dataclasses.replace(load_config(CONFIG_DIR / f"{name}.yaml"), out_dir=str(out))
+        runs[name] = (cfg, run_experiment(cfg))
+    return runs, time.perf_counter() - t0
+
+
+def test_criterion_8_scene_study(shipped_runs):
+    t0 = time.perf_counter()
+    runs, run_s = shipped_runs
     ok = True
     details = []
 
-    notch = load_config(CONFIG_DIR / "clutter_notch.yaml")
-    notch_dir = tmp_path / "notch"
-    notch = type(notch).from_dict({**notch.to_dict(), "out_dir": str(notch_dir)})
-    for rec in run_experiment(notch):
+    notch, records = runs["clutter_notch"]
+    for rec in records:
         if rec["energy"] <= 1.0:
             continue
-        d2 = _fit_d2_column(notch_dir / f"fit_E{rec['energy']:.12g}.csv")
+        d2 = _fit_d2_column(Path(notch.out_dir) / f"fit_E{rec['energy']:.12g}.csv")
         frac = float(np.mean(d2 > rec["d2_lfm"]))
         details.append(f"notch E={rec['energy']:g} frac={frac:.2f}")
         if frac < 0.95:
             ok = False
 
-    peak = load_config(CONFIG_DIR / "clutter_peak.yaml")
-    peak_dir = tmp_path / "peak"
-    peak = type(peak).from_dict({**peak.to_dict(), "out_dir": str(peak_dir)})
+    peak, records = runs["clutter_peak"]
     adv = {}
-    for rec in run_experiment(peak):
-        d2 = _fit_d2_column(peak_dir / f"fit_E{rec['energy']:.12g}.csv")
+    for rec in records:
+        d2 = _fit_d2_column(Path(peak.out_dir) / f"fit_E{rec['energy']:.12g}.csv")
         adv[rec["energy"]] = (float(np.median(d2)) - rec["d2_lfm"]) / rec["d2_lfm"]
     e_lo, e_hi = min(adv), max(adv)
     details.append(f"peak adv E={e_lo:g}: {adv[e_lo]:.3f}, E={e_hi:g}: {adv[e_hi]:.3f}")
     if not adv[e_hi] < adv[e_lo]:
         ok = False
 
-    elapsed = time.perf_counter() - t0
+    elapsed = run_s + time.perf_counter() - t0
     ok = ok and elapsed < 600.0
     _verdict("8 scene study ordering", ok, "; ".join(details) + f", {elapsed:.0f}s")
     assert ok, details
 
 
 def test_criterion_9_determinism(tmp_path):
-    cfg = load_config(CONFIG_DIR / "clutter_notch.yaml")
-    cfg = type(cfg).from_dict(
-        {
-            **cfg.to_dict(),
-            "n_starts": 5,
-            "energy_list": [0.5, 2.0],
-            "out_dir": str(tmp_path / "a"),
-        }
+    cfg = dataclasses.replace(
+        load_config(CONFIG_DIR / "clutter_notch.yaml"), n_starts=5, energy_list=(0.5, 2.0),
     )
     path = tmp_path / "cfg.yaml"
     dump_config(cfg, path)
-    assert main(["fit", "--config", str(path)]) == EXIT_OK
-    assert main(["fit", "--config", str(path), "--out", str(tmp_path / "b")]) == EXIT_OK
-    ok = True
-    names = [p.name for p in (tmp_path / "a").glob("*.csv")]
-    assert names
-    for name in names:
-        if (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes():
-            ok = False
-    _verdict("9 byte-identical reruns", ok, f"{len(names)} CSV files compared")
+    trees = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        for argv in (["fit"], ["roc", "--trials", "2000"]):
+            assert main([*argv, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    a, b = trees
+    names = sorted(a)
+    assert {"esd_table.csv", "summary.json", "roc.csv"} <= set(names)
+    ok = sorted(b) == names and all(a[name] == b[name] for name in names)
+    _verdict("9 byte-identical reruns", ok, f"{len(names)} files compared: {', '.join(names)}")
     assert ok
+
+
+def _p_d_gap(d2: float, d2_mi: float, p_fa_grid) -> float:
+    """The largest drop of the analytic P_D at ``d2`` below MI's, over
+    ``p_fa_grid``."""
+    p_d = [p for _, p in analytic_roc(d2, p_fa_grid)]
+    p_d_mi = [p for _, p in analytic_roc(d2_mi, p_fa_grid)]
+    return max(m - p for m, p in zip(p_d_mi, p_d))
+
+
+def test_criterion_10_mtsfm_close_to_mi(shipped_runs):
+    # the paper's first claim, read from criterion 8's two runs: at every
+    # shipped energy the best start's d^2 is within 3% of MI's, and its
+    # analytic P_D within 0.01 of MI's at each p_fa of the config
+    runs, _ = shipped_runs
+    ratios, gaps, lfm_gaps = [], [], []
+    for cfg, records in runs.values():
+        for rec in records:
+            ratios.append(rec["best_d2"] / rec["d2_mi"])
+            gaps.append(_p_d_gap(rec["best_d2"], rec["d2_mi"], cfg.p_fa_grid))
+            lfm_gaps.append(_p_d_gap(rec["d2_lfm"], rec["d2_mi"], cfg.p_fa_grid))
+    ok = min(ratios) >= 0.97 and max(gaps) <= 0.01
+    _verdict("10 MTSFM close to MI", ok,
+             f"worst best/MI {min(ratios):.5f}, worst P_D gap {max(gaps):.4f}, "
+             f"the LFM's {max(lfm_gaps):.4f}, over {len(ratios)} energies")
+    assert ok, (ratios, gaps)

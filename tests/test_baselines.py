@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,45 @@ def _spectra(monkeypatch):
     return seen
 
 
+def _edge_power(share_of, seen):
+    """A stand-in for ``_chirp_power`` that records each sweep bandwidth B:
+    a share ``share_of(B/W)`` of the power on the outermost bins, split
+    evenly, and the rest at DC."""
+
+    def edges(duration, sweep_bandwidth, grid):
+        seen.append(sweep_bandwidth)
+        share = share_of(sweep_bandwidth / grid.band_width)
+        power = np.zeros(grid.num_bins)
+        power[[0, -1]] = share / 2.0
+        power[grid.num_bins // 2] = 1.0 - share
+        return power
+
+    return edges
+
+
+def _illinois_visits(resid, target, b_max):
+    """The sweep bandwidths an Illinois search for ``resid``'s root visits,
+    from the bracket [0, b_max] with f(0) = -target and the start
+    sqrt(12)*target/(2*pi), and the root it returns: the bracket top, then
+    each step. The end kept twice running has its residual halved."""
+    visits = [b_max]
+    ends = {True: [0.0, -target], False: [b_max, resid(b_max)]}  # by r < 0
+    b = min(math.sqrt(12.0) * target / (2.0 * math.pi), b_max)
+    last = None
+    for _ in range(100):
+        visits.append(b)
+        r = resid(b)
+        if (r < 0) == last:
+            ends[not last][1] /= 2.0
+        ends[r < 0], last = [b, r], r < 0
+        (lo, f_lo), (hi, f_hi) = ends[True], ends[False]
+        step = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) - b
+        b += step
+        if abs(step) <= (2e-12 + 1e-4 * b) / 2:
+            return visits, b
+    raise AssertionError("no root in 100 steps")
+
+
 class TestMatchRmsBandwidth:
     def test_zero_target(self, monkeypatch):
         grid = make_grid(10.0, 1.0)
@@ -170,21 +210,35 @@ class TestMatchRmsBandwidth:
         # the bracket top and lfm_esd scale back by E*T
         grid = make_grid(10.0, 1.0)
         seen = []
-
-        def edges(duration, sweep_bandwidth, grid):
-            seen.append(sweep_bandwidth)
-            share = (sweep_bandwidth / grid.band_width) ** 4
-            power = np.zeros(grid.num_bins)
-            power[[0, -1]] = share / 2.0
-            power[grid.num_bins // 2] = 1.0 - share
-            return power
-
-        monkeypatch.setattr(baselines, "_chirp_power", edges)
+        monkeypatch.setattr(baselines, "_chirp_power", _edge_power(lambda x: x**4, seen))
         edge_rms = 2.0 * np.pi * grid.bin_freqs[-1]
         (w,) = match_rms_bandwidth([frac * edge_rms], 1.0, [1.0], grid)
         assert w.sweep_bandwidth == pytest.approx(grid.band_width * np.sqrt(frac), rel=1e-4)
         # without the halving, 0.02 takes 33 spectra and 0.2 takes 11
         assert len(seen) <= 10
+
+    @pytest.mark.parametrize("frac", [0.2, 0.5, 0.95])
+    def test_concave_residual_halves_the_lower_end(self, monkeypatch, frac):
+        # the mirror of the convex case: a share sqrt(B/W) on the outermost
+        # bins gives frac times the edges' RMS bandwidth at B = W*frac**4;
+        # the residual is concave, so regula falsi keeps the lower end and
+        # the Illinois rule halves its residual. The steps are compared
+        # bit for bit: a tolerance on the root or a step count does not
+        # tell a wrong halving factor from the right one
+        grid = make_grid(10.0, 1.0)
+        seen = []
+        monkeypatch.setattr(baselines, "_chirp_power", _edge_power(np.sqrt, seen))
+        target = frac * 2.0 * np.pi * grid.bin_freqs[-1]
+        (w,) = match_rms_bandwidth([target], 1.0, [1.0], grid)
+        got = list(seen)
+
+        def resid(b):
+            return rms_bandwidth(lfm_esd(LfmWaveform(1.0, 1.0, b), grid), 1.0) - target
+
+        visits, root = _illinois_visits(resid, target, grid.band_width)
+        assert [b.hex() for b in got] == [b.hex() for b in visits]
+        assert w.sweep_bandwidth.hex() == root.hex()
+        assert root == pytest.approx(grid.band_width * frac**4, rel=1e-4)
 
     def test_sweep_equals_one_element_calls(self, monkeypatch):
         # a zero target, two reachable ones and two that clamp (the
@@ -248,7 +302,7 @@ class TestMatchRmsBandwidth:
             assert d2_lfm <= d2_star + 1e-9
 
 
-class TestFullBandMemo:
+class TestFullBandSpectraOfOneSweep:
     """The full-band sweep B = W, which every match evaluates: computed
     once per call, from no array another call holds."""
 
@@ -281,7 +335,7 @@ class TestFullBandMemo:
         assert len(spectra) - full == len(steps) + (16 - clamped)
 
     @pytest.mark.parametrize("band_width, duration", [(20.0, 1.0), (20.0, 0.7), (100.0, 2.5)])
-    def test_equals_uncached_computation(self, band_width, duration):
+    def test_equals_end_corrected_trapezoid_reference(self, band_width, duration):
         grid = make_grid(band_width, duration)
         w = LfmWaveform(duration, 3.0, grid.band_width)
         # n = 4*max(M/2, B*T) + 2 rounded up to a power of two, at least 64
@@ -293,7 +347,7 @@ class TestFullBandMemo:
         for values in (lfm_esd(w, grid).values, lfm_esd(w, grid).values):
             np.testing.assert_allclose(values, want, rtol=1e-15, atol=0)
 
-    def test_writing_a_returned_esd_leaves_the_next_call(self):
+    def test_a_returned_esd_owns_its_values(self):
         grid = make_grid(20.0, 1.0)
         w = LfmWaveform(1.0, 2.0, grid.band_width)
         first = lfm_esd(w, grid)

@@ -88,11 +88,16 @@ class TestAnalyticRoc:
         better = analytic_roc(5.0, [0.01])[0][1]
         assert better > analytic_roc(2.0, [0.01])[0][1]
 
+    def test_p_fa_of_one_detects_always(self):
+        assert analytic_roc(2.0, [1.0]) == [(1.0, 1.0)]
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             analytic_roc(-1.0, [0.1])
         with pytest.raises(ValueError):
             analytic_roc(1.0, [0.0])
+        with pytest.raises(ValueError):
+            analytic_roc(1.0, [1.5])
 
 
 def _full_array_roc(esd, scenario, trials, seed, p_fa_grid):

@@ -189,6 +189,15 @@ class TestParametricPsds:
         sd = build_parametric_psd("clutter_peak", {"osc_height": 0.0}, small_grid)
         assert np.argmax(sd.values) == small_grid.half_order
 
+    def test_clutter_notch_of_depth_zero_is_flat(self, small_grid):
+        sd = build_parametric_psd("clutter_notch", {"level": 0.7, "notch_depth": 0.0}, small_grid)
+        np.testing.assert_array_equal(sd.values, 0.7)
+
+    def test_clutter_peak_defaults_at_dc(self, small_grid):
+        # floor + peak_height + osc_height = 0.05 + 1.0 + 0.3
+        sd = build_parametric_psd("clutter_peak", {}, small_grid)
+        assert sd.values[small_grid.half_order] == pytest.approx(1.35, rel=1e-15)
+
     def test_custom_table_interpolates(self, small_grid):
         sd = build_parametric_psd(
             "custom_table",

@@ -7,11 +7,11 @@ Usage, from anywhere:
 DIR is a checkout holding ``src/``, ``configs/`` and ``bench/workloads.py``.
 Each side runs ``python -m miwave.cli`` with that checkout's ``src`` in its
 own temporary root, with the same relative ``--config`` and ``--out``
-strings on both sides (the config hash in ``summary.json`` covers
-``out_dir``). The parent side's commands may use every CPU this process
-may use; the change side's run on one of them, so an output that depends
-on the CPU count differs, and with ``--parent . --change .`` the tool
-checks that none does. The matrix is:
+strings on both sides (each command's ``wrote PATH`` line on stdout is
+kept and compared). The parent side's commands may use every CPU this
+process may use; the change side's run on one of them, so an output
+that depends on the CPU count differs, and with ``--parent . --change .``
+the tool checks that none does. The matrix is:
 
 - ``design``, ``fit --starts 6`` and ``roc --trials 20000`` on both shipped
   configs;
