@@ -334,19 +334,6 @@ class TestFullBandSpectraOfOneSweep:
         # comparator ESD of each energy that did not clamp
         assert len(spectra) - full == len(steps) + (16 - clamped)
 
-    @pytest.mark.parametrize("band_width, duration", [(20.0, 1.0), (20.0, 0.7), (100.0, 2.5)])
-    def test_equals_end_corrected_trapezoid_reference(self, band_width, duration):
-        grid = make_grid(band_width, duration)
-        w = LfmWaveform(duration, 3.0, grid.band_width)
-        # n = 4*max(M/2, B*T) + 2 rounded up to a power of two, at least 64
-        n = {(20.0, 1.0): 128, (20.0, 0.7): 64, (100.0, 2.5): 1024}[band_width, duration]
-        # at E = T the chirp's amplitude sqrt(E/T) is exactly 1
-        _, x = lfm_time_series(LfmWaveform(duration, duration, grid.band_width), n / duration)
-        end = 1j * np.pi * grid.band_width * duration * x[0] / (6.0 * n * n)
-        want = 3.0 * duration * np.abs(np.fft.fft(x)[grid.bin_indices % n] / n - end) ** 2
-        for values in (lfm_esd(w, grid).values, lfm_esd(w, grid).values):
-            np.testing.assert_allclose(values, want, rtol=1e-15, atol=0)
-
     def test_a_returned_esd_owns_its_values(self):
         grid = make_grid(20.0, 1.0)
         w = LfmWaveform(1.0, 2.0, grid.band_width)
@@ -358,6 +345,25 @@ class TestFullBandSpectraOfOneSweep:
         first.values.flags.writeable = True
         first.values[:] = -1.0
         assert lfm_esd(w, grid).values.tobytes() == want.tobytes()
+
+
+class TestFullBandMemo:
+    """``lfm_esd`` against the end-corrected trapezoid reference, computed
+    from scratch in the test; the class keeps the name its test ids have
+    carried since the memo of full-band spectra was deleted."""
+
+    @pytest.mark.parametrize("band_width, duration", [(20.0, 1.0), (20.0, 0.7), (100.0, 2.5)])
+    def test_equals_uncached_computation(self, band_width, duration):
+        grid = make_grid(band_width, duration)
+        w = LfmWaveform(duration, 3.0, grid.band_width)
+        # n = 4*max(M/2, B*T) + 2 rounded up to a power of two, at least 64
+        n = {(20.0, 1.0): 128, (20.0, 0.7): 64, (100.0, 2.5): 1024}[band_width, duration]
+        # at E = T the chirp's amplitude sqrt(E/T) is exactly 1
+        _, x = lfm_time_series(LfmWaveform(duration, duration, grid.band_width), n / duration)
+        end = 1j * np.pi * grid.band_width * duration * x[0] / (6.0 * n * n)
+        want = 3.0 * duration * np.abs(np.fft.fft(x)[grid.bin_indices % n] / n - end) ** 2
+        for values in (lfm_esd(w, grid).values, lfm_esd(w, grid).values):
+            np.testing.assert_allclose(values, want, rtol=1e-15, atol=0)
 
 
 class TestBrentq:
